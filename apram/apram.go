@@ -396,18 +396,6 @@ func NewBinaryConsensus(n int, opts ...Option) *Consensus {
 	return c
 }
 
-// NewConsensus returns an n-slot binary consensus object with a
-// positional seed. WithSeed, when given, overrides the positional
-// seed.
-//
-// Deprecated: the positional seed duplicates WithSeed — use
-// NewBinaryConsensus(n, apram.WithSeed(seed)) instead. This form is
-// the last positional-parameter constructor and will not grow new
-// capabilities.
-func NewConsensus(n int, seed int64, opts ...Option) *Consensus {
-	return NewBinaryConsensus(n, append([]Option{WithSeed(seed)}, opts...)...)
-}
-
 // AdoptCommit is the wait-free adopt-commit object underlying
 // Consensus, exposed because it is independently useful: if any
 // process commits a value, every process leaves the object holding it.

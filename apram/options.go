@@ -2,6 +2,7 @@ package apram
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 
@@ -14,13 +15,6 @@ import (
 //
 //	st := apram.NewStats(8)
 //	c := apram.NewCounter(8, apram.WithProbe(st), apram.WithName("requests"))
-//
-// Migration guidance: the options forms are the constructor API.
-// Positional parameters that duplicate an option — today only the
-// seed parameter of NewConsensus — are deprecated; use the
-// option-only constructor (NewBinaryConsensus with WithSeed) instead.
-// The deprecated forms keep working, and WithSeed overrides the
-// positional value when both are given.
 
 // Probe is the observability callback interface; see package
 // repro/apram/obs for the contract (wait-free implementations only)
@@ -155,9 +149,9 @@ func WithRecorder(r *obs.Recorder) Option {
 }
 
 // WithSeed sets the seed for objects with local randomness (currently
-// Consensus, whose shared coins it drives), overriding any positional
-// seed argument. Objects without randomness ignore it. Safety never
-// depends on the seed — it exists for reproducibility.
+// Consensus, whose shared coins it drives). Objects without randomness
+// ignore it. Safety never depends on the seed — it exists for
+// reproducibility.
 func WithSeed(seed int64) Option {
 	return func(c *Options) { c.Seed, c.HasSeed = seed, true }
 }
@@ -240,13 +234,30 @@ func WithName(name string) Option {
 	return func(c *Options) { c.Name = name }
 }
 
-// objectNames maps constructed objects to their registered names. A
-// sync.Map keyed by pointer identity: reads are lock-free, and writes
-// happen only at construction time, never on an operation path. The
-// map retains every constructed object for the process lifetime —
-// acceptable because these are long-lived shared structures, not
-// throwaway values.
-var objectNames sync.Map
+// objectNames maps constructed objects to their registered names. It
+// is keyed by type and address, not by the object itself, so the
+// registry never keeps an object alive: a uintptr is not a reference
+// to the collector, and Go's heap objects do not move. An entry
+// outlives its object as a few dozen bytes; if a later object of the
+// same type reuses the address, its own registration overwrites the
+// entry. Reads are lock-free, and writes happen only at construction
+// time, never on an operation path.
+var objectNames sync.Map // nameKey -> string
+
+// nameKey identifies a registered object without referencing it.
+type nameKey struct {
+	t    reflect.Type
+	addr uintptr
+}
+
+// keyOf returns obj's registry key; only non-nil pointers have one.
+func keyOf(obj any) (nameKey, bool) {
+	v := reflect.ValueOf(obj)
+	if v.Kind() != reflect.Pointer || v.IsNil() {
+		return nameKey{}, false
+	}
+	return nameKey{v.Type(), v.Pointer()}, true
+}
 
 var (
 	nameMu   sync.Mutex
@@ -273,13 +284,18 @@ func defaultName(obj any) string {
 // without WithName get a generated "<type>#<seq>" default, so
 // telemetry keyed by NameOf never shows blank identities. Exported
 // for layers (apram/serve) that construct objects on the caller's
-// behalf; the constructors in this package call it themselves.
+// behalf; the constructors in this package call it themselves. obj
+// must be a pointer; other values are not registered.
 func (c Options) Register(obj any) {
+	k, ok := keyOf(obj)
+	if !ok {
+		return
+	}
 	name := c.Name
 	if name == "" {
 		name = defaultName(obj)
 	}
-	objectNames.Store(obj, name)
+	objectNames.Store(k, name)
 }
 
 func (c Options) register(obj any) { c.Register(obj) }
@@ -288,7 +304,11 @@ func (c Options) register(obj any) { c.Register(obj) }
 // construction: the WithName label, or the generated "<type>#<seq>"
 // default. It returns "" only for values no apram constructor built.
 func NameOf(obj any) string {
-	if v, ok := objectNames.Load(obj); ok {
+	k, ok := keyOf(obj)
+	if !ok {
+		return ""
+	}
+	if v, ok := objectNames.Load(k); ok {
 		return v.(string)
 	}
 	return ""

@@ -2,8 +2,10 @@ package apram_test
 
 import (
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/apram"
 	"repro/apram/obs"
@@ -49,7 +51,6 @@ func TestArgErrors(t *testing.T) {
 		{noSlots("NewCounter"), func() { apram.NewCounter(0) }},
 		{noSlots("NewClock"), func() { apram.NewClock(0) }},
 		{noSlots("NewBinaryConsensus"), func() { apram.NewBinaryConsensus(0) }},
-		{noSlots("NewBinaryConsensus"), func() { apram.NewConsensus(0, 42) }},
 		{noSlots("NewAdoptCommit"), func() { apram.NewAdoptCommit(0) }},
 		{
 			"apram: NewAgreement: eps = -1: tolerance must be positive",
@@ -94,6 +95,31 @@ func TestNameOfDefault(t *testing.T) {
 	if n := apram.NameOf(&struct{}{}); n != "" {
 		t.Fatalf("NameOf(unregistered) = %q", n)
 	}
+}
+
+// TestNameOfDoesNotRetainObjects: the name registry must not keep a
+// registered object alive. A long-running process that constructs and
+// drops objects (one server per test, per benchmark run) would
+// otherwise carry every predecessor's heap.
+func TestNameOfDoesNotRetainObjects(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		u := apram.NewObject(apram.CounterSpec{}, 2, apram.WithName("dropped"))
+		u.Execute(0, apram.Inc(1))
+		if n := apram.NameOf(u); n != "dropped" {
+			t.Fatalf("NameOf = %q, want %q", n, "dropped")
+		}
+		runtime.SetFinalizer(u, func(*apram.Object) { close(collected) })
+	}()
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("a dropped, registered object was never collected: the name registry keeps it alive")
 }
 
 // TestWithRecorderOption: a Recorder attached via WithRecorder (alone

@@ -258,6 +258,46 @@ func TestOpErrorTyped(t *testing.T) {
 	}
 }
 
+// TestOpErrorSlotRecovers: after a malformed invocation fails its
+// batch, the same slot serves later requests, and its idle truncation
+// ticks (which run outside the batch's panic recovery) keep the
+// process alive — on both backends.
+func TestOpErrorSlotRecovers(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []apram.Option
+	}{
+		{"native", nil},
+		{"simulated", []apram.Option{apram.WithBackend(apram.Simulated(nil))}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := append([]apram.Option{apram.WithTruncateEvery(4)}, tc.opts...)
+			sv := serve.New(apram.CounterSpec{}, 1, opts...)
+			defer sv.Close()
+			ctx := context.Background()
+			for k := 0; k < 3; k++ {
+				var oe *serve.OpError
+				if _, err := sv.Do(ctx, apram.Inv{Op: "no-such-op"}); !errors.As(err, &oe) {
+					t.Fatalf("malformed invocation: %v, want *serve.OpError", err)
+				}
+				time.Sleep(10 * time.Millisecond) // idle ticks on the failed slot
+				for i := 0; i < 5; i++ {
+					if _, err := sv.Do(ctx, apram.Inc(1)); err != nil {
+						t.Fatalf("Inc after a failed batch: %v", err)
+					}
+				}
+			}
+			got, err := sv.Do(ctx, apram.Read())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != int64(15) {
+				t.Fatalf("final read = %v, want 15", got)
+			}
+		})
+	}
+}
+
 // TestDoContextCause: a context that expires while waiting carries its
 // cause through the returned error (errors.Is still matches the
 // standard context sentinels).

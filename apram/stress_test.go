@@ -146,7 +146,7 @@ func TestStressCounterProbe(t *testing.T) {
 func TestStressConsensusProbe(t *testing.T) {
 	const n = 8
 	st := obs.NewStats(n)
-	c := apram.NewConsensus(n, 42, apram.WithProbe(st))
+	c := apram.NewBinaryConsensus(n, apram.WithSeed(42), apram.WithProbe(st))
 
 	var stop atomic.Bool
 	done := sampleMonotone(t, st, &stop)

@@ -15,10 +15,13 @@
 // linearization of the scanned graph (Figure 3), and publishes the new
 // entry with one Write_L (Step 2).
 //
-// Two execution modes are provided: Universal runs natively on
-// goroutines; SimUniversal/Machine runs step-granularly on the
-// simulator, which is how experiment E6 measures the O(n²) overhead
-// exactly.
+// The algorithm has one body, Machine, which performs one shared
+// access per Step against any pram.Memory. Universal drives it two
+// ways: New steps each slot's machine on the slot's own goroutine over
+// native atomics (pram/native), and NewSimulated serializes every
+// machine's steps on the simulator under a scheduler, which is how
+// experiment E6 measures the O(n²) overhead exactly. The exhaustive
+// explorer and the chaos harness step the same machines directly.
 package core
 
 import (
@@ -27,6 +30,7 @@ import (
 	"repro/apram/obs"
 	"repro/internal/lattice"
 	"repro/internal/pram"
+	"repro/internal/pram/native"
 	"repro/internal/snapshot"
 	"repro/internal/spec"
 )
@@ -117,49 +121,57 @@ func viewOf(vec lattice.Vec) []*Entry {
 	return out
 }
 
-// Universal is the native (goroutine-ready) universal construction.
+// Universal is the universal construction as a shared object: one
+// Figure 4 Machine per process slot, stepped on a register substrate.
 // Process index p must be driven by at most one goroutine at a time;
 // distinct indices may run concurrently, and every operation is
 // wait-free.
 type Universal struct {
-	s    spec.Spec
-	n    int
-	vl   lattice.Vector
-	snap *snapshot.Snapshot
-	seq  []uint64 // per-process last-used Lamport stamps (owned by that process)
+	s   spec.Spec
+	n   int
+	mem pram.Memory
+	// mcs[p] is slot p's machine — the body the chaos harness and the
+	// exhaustive explorer check — owned, like the slot, by the
+	// goroutine driving p.
+	mcs []*Machine
 
-	// lins[p] is process p's incremental linearization engine. Like
-	// seq[p] it is owned by the goroutine driving p; it holds only
-	// local caches, so it never touches shared registers and the
-	// paper's cost accounting is unaffected.
-	lins []*Linearizer
-
-	// eng, when non-nil, redirects Execute onto the simulated register
-	// substrate (see NewSimulated); the native fields above are unused.
+	// eng, when non-nil, serializes the machines' steps on the
+	// simulated substrate (see NewSimulated); otherwise each slot's
+	// goroutine steps its own machine on native atomics.
 	eng *simEngine
 
 	// tr, when non-nil, bounds the entry graph: the checkpoint-and-
-	// truncate coordinator shared by every slot (see truncate.go). On
-	// the simulated backend the machines carry the same pointer and
-	// the field here only serves the accessors.
+	// truncate coordinator shared by every slot's machine (see
+	// truncate.go).
 	tr *Truncation
 
 	probe obs.Probe // nil when uninstrumented
+	// regs[p] is slot p's (reads, writes) count at its last report to
+	// the probe; written only by slot p's owner.
+	regs [][2]uint64
 }
 
-// New returns an n-process wait-free object implementing s. It does
-// not validate Property 1; use NewChecked when the spec's algebra has
-// not been independently verified.
+// newUniversal lays the anchor array out in mem and builds one machine
+// per slot.
+func newUniversal(s spec.Spec, n int, mem pram.Memory) *Universal {
+	su := NewSim(s, n, 0, mem)
+	mcs := make([]*Machine, n)
+	for p := range mcs {
+		mcs[p] = NewMachine(su, p, nil)
+	}
+	return &Universal{s: s, n: n, mem: mem, mcs: mcs}
+}
+
+// New returns an n-process wait-free object implementing s on native
+// atomics (pram/native): Execute steps the calling slot's machine to
+// completion on its own goroutine. It does not validate Property 1;
+// use NewChecked when the spec's algebra has not been independently
+// verified.
 func New(s spec.Spec, n int) *Universal {
 	if n <= 0 {
 		panic("core: need at least one process")
 	}
-	vl := lattice.Vector{N: n}
-	lins := make([]*Linearizer, n)
-	for p := range lins {
-		lins[p] = NewLinearizer(s)
-	}
-	return &Universal{s: s, n: n, vl: vl, snap: snapshot.New(n, vl), seq: make([]uint64, n), lins: lins}
+	return newUniversal(s, n, native.NewMem(snapshot.Layout{N: n}.Regs(), n))
 }
 
 // NewChecked validates the spec's algebra over the given samples
@@ -171,44 +183,59 @@ func NewChecked(s spec.Spec, n int, states []spec.State, invs []spec.Inv) (*Univ
 	return New(s, n), nil
 }
 
-// NewSimulated returns an n-process object whose Execute runs the
-// Figure 4 machine body — the exact state machine the chaos harness
-// and the exhaustive explorer drive — on a simulated memory, with sc
-// (nil = round-robin) choosing which pending slot takes each step.
-// Responses and linearized histories are identical to New's native
-// object on any sequential script; what changes is the substrate:
-// accesses are serialized and counted exactly, so SimCounters reports
-// the paper's step costs to the access, and wall-clock time means
-// nothing. This is the engine behind apram.WithBackend(Simulated).
+// NewSimulated returns an n-process object whose machines run on a
+// simulated memory, with sc (nil = round-robin) choosing which pending
+// slot takes each step. The machines are the ones New builds; only
+// the stepping loop and the substrate change: accesses are serialized
+// and counted exactly, so SimCounters reports the paper's step costs to
+// the access, and wall-clock time means nothing. This is the engine
+// behind apram.WithBackend(Simulated).
 func NewSimulated(s spec.Spec, n int, sc pram.Scheduler) *Universal {
 	if n <= 0 {
 		panic("core: need at least one process")
 	}
-	return &Universal{s: s, n: n, eng: newSimEngine(s, n, sc)}
+	mem := pram.NewMem(snapshot.Layout{N: n}.Regs(), n)
+	u := newUniversal(s, n, mem)
+	u.eng = newSimEngine(mem, u.mcs, sc)
+	return u
 }
 
-// Instrument attaches a probe. Register accounting flows from the
-// anchor-array snapshot (one OpExecute is one Scan plus, for non-pure
-// operations, one Update — 2(n²−1) reads and 2(n+1) writes); Execute
-// additionally reports obs.EvPublish / obs.EvPureElide events and the
-// OpExecute completions. Attach before the object is shared.
+// Instrument attaches a probe. The machines report obs.EvPublish /
+// obs.EvPureElide / obs.EvLinRebuild events; Execute reports the
+// OpExecute edges and, before the end edge, the operation's register
+// accesses in one RegReads and one RegWrites call, read off the
+// memory's per-process counters (one OpExecute is one Scan plus, for
+// non-pure operations, one Update — 2(n²−1) reads and 2(n+1) writes).
+// Attach before the object is shared.
 func (u *Universal) Instrument(p obs.Probe) {
 	u.probe = p
-	if u.eng != nil {
-		// Simulated backend: the machines report structural events and
-		// the memory's serialized access hooks report register counts —
-		// the engine sees every access, so the probe reports what
-		// happened, exactly as the chaos harness counts.
-		for _, mc := range u.eng.mcs {
-			mc.Instrument(p)
-		}
-		u.eng.mem.Observe(
-			func(proc, r int, v pram.Value) { p.RegReads(proc, 1) },
-			func(proc, r int, v pram.Value) { p.RegWrites(proc, 1) },
-		)
-		return
+	c := u.counters()
+	u.regs = make([][2]uint64, u.n)
+	for q := range u.regs {
+		u.regs[q] = [2]uint64{c.ReadsBy[q], c.WritesBy[q]}
 	}
-	u.snap.Instrument(p, false)
+	for _, mc := range u.mcs {
+		mc.Instrument(p)
+	}
+}
+
+// reportRegs hands the probe slot p's register accesses since its
+// previous report.
+func (u *Universal) reportRegs(p int) {
+	c := u.counters()
+	r, w := c.ReadsBy[p], c.WritesBy[p]
+	u.probe.RegReads(p, int(r-u.regs[p][0]))
+	u.probe.RegWrites(p, int(w-u.regs[p][1]))
+	u.regs[p] = [2]uint64{r, w}
+}
+
+// counters returns the substrate's access counters, taking the engine
+// lock on the simulated substrate.
+func (u *Universal) counters() pram.Counters {
+	if u.eng != nil {
+		return u.eng.counters()
+	}
+	return u.mem.Counters()
 }
 
 // N returns the number of process slots.
@@ -223,24 +250,14 @@ func (u *Universal) Spec() spec.Spec { return u.s }
 // shared-access trace are identical either way — only local work
 // changes. Call before the object is shared across goroutines.
 func (u *Universal) SetIncremental(on bool) {
-	if u.eng != nil {
-		for _, mc := range u.eng.mcs {
-			mc.SetIncremental(on)
-		}
-		return
-	}
-	for _, l := range u.lins {
-		l.SetIncremental(on)
+	for _, mc := range u.mcs {
+		mc.SetIncremental(on)
 	}
 }
 
-// LinStats returns process p's linearization-engine counters.
-func (u *Universal) LinStats(p int) LinStats {
-	if u.eng != nil {
-		return u.eng.mcs[p].LinStats()
-	}
-	return u.lins[p].Stats()
-}
+// LinStats returns process p's linearization-engine counters. Like
+// Execute it belongs to slot p's owner (or to a quiescent object).
+func (u *Universal) LinStats(p int) LinStats { return u.mcs[p].LinStats() }
 
 // Simulated reports whether the object executes on the simulated
 // register substrate (NewSimulated) rather than native atomics.
@@ -249,14 +266,16 @@ func (u *Universal) Simulated() bool { return u.eng != nil }
 // RootTags collects each slot's latest published entry stamp from the
 // anchor array's row-0 registers, reusing dst when it has capacity. It
 // owns no slot and may be called from any goroutine: each read is one
-// atomic load of a register its process wrote FIRST in its last
-// Scan/Update (see snapshot.PeekRow0), and stamps are monotone per
-// process (Entry.Seq is Lamport-style). Two equal collects therefore
-// witness that no publication's visibility edge fell between them —
-// every scan starting in that window observes exactly the entries
-// stamped at or below these tags. The sharded construction's
-// cross-shard snapshot validator is built on this; tag 0 means the
-// slot has never published.
+// uncounted atomic load (pram.Memory.Peek) of the register its process
+// writes FIRST in every Scan/Update, so q's row-0 value changes before
+// q's update is visible to any scan, and any scan whose first row of
+// reads starts after the load sees at least this value. Stamps are
+// monotone per process (Entry.Seq is Lamport-style). Two equal
+// collects therefore witness that no publication's visibility edge
+// fell between them — every scan starting in that window observes
+// exactly the entries stamped at or below these tags. The sharded
+// construction's cross-shard snapshot validator is built on this; tag
+// 0 means the slot has never published.
 //
 // Simulated-backend objects return nil: step-granular runs have no
 // concurrent observers, so callers (the shard layer) quiesce instead.
@@ -270,9 +289,9 @@ func (u *Universal) RootTags(dst []uint64) []uint64 {
 		dst = make([]uint64, u.n)
 	}
 	dst = dst[:u.n]
-	for q := 0; q < u.n; q++ {
-		vec := u.snap.PeekRow0(q).(lattice.Vec)
-		dst[q] = vec[q].Tag
+	lay := snapshot.Layout{N: u.n}
+	for q := range dst {
+		dst[q] = u.mem.Peek(lay.Reg(q, 0)).(lattice.Vec)[q].Tag
 	}
 	return dst
 }
@@ -284,7 +303,7 @@ func (u *Universal) SimCounters() pram.Counters {
 	if u.eng == nil {
 		panic("core: SimCounters on a native-backend object")
 	}
-	return u.eng.counters()
+	return u.counters()
 }
 
 // StepClock returns a deterministic clock over the simulated
@@ -322,10 +341,8 @@ func (u *Universal) EnableTruncation(every, retain int) bool {
 		return false
 	}
 	u.tr = tr
-	if u.eng != nil {
-		for _, mc := range u.eng.mcs {
-			mc.SetTruncation(tr)
-		}
+	for _, mc := range u.mcs {
+		mc.SetTruncation(tr)
 	}
 	return true
 }
@@ -350,13 +367,12 @@ func (u *Universal) TruncStats() TruncationStats {
 // Retained returns the object's live entry-graph footprint: the
 // maximum entry count any slot's linearizer currently indexes (slots
 // lag each other by at most the entries they have not yet observed).
+// Each count is published atomically by its slot, so any goroutine
+// may call this while the slots run.
 func (u *Universal) Retained() int {
-	if u.eng != nil {
-		return u.eng.retained()
-	}
 	max := 0
-	for _, l := range u.lins {
-		if r := l.Retained(); r > max {
+	for _, mc := range u.mcs {
+		if r := mc.Retained(); r > max {
 			max = r
 		}
 	}
@@ -374,22 +390,22 @@ func (u *Universal) TruncTick(p int) {
 	if u.tr == nil {
 		return
 	}
+	var scanned bool
 	if u.eng != nil {
-		u.eng.truncTick(p)
-		return
+		scanned = u.eng.truncTick(p)
+	} else {
+		scanned = u.mcs[p].truncTick(u.mem)
 	}
-	lin := u.lins[p]
-	if u.tr.needsRefresh(p, lin) {
-		vec := u.snap.ReadMax(p).(lattice.Vec)
-		if err := lin.Refresh(viewOf(vec)); err != nil {
-			panic("core: " + err.Error())
-		}
+	if scanned && u.probe != nil {
+		u.reportRegs(p)
 	}
-	u.tr.tick(p, lin, u.probe)
 }
 
 // Execute runs one operation for process p: snapshot the anchor array,
 // linearize, choose the response, publish the new entry (Figure 4).
+// On native atomics the calling goroutine steps slot p's machine to
+// completion itself; on the simulated substrate the engine's scheduler
+// pump does.
 func (u *Universal) Execute(p int, inv spec.Inv) any {
 	if p < 0 || p >= u.n {
 		panic(fmt.Sprintf("core: process %d out of range [0,%d)", p, u.n))
@@ -397,56 +413,15 @@ func (u *Universal) Execute(p int, inv spec.Inv) any {
 	if u.probe != nil {
 		obs.Begin(u.probe, p, obs.OpExecute)
 	}
+	var resp any
 	if u.eng != nil {
-		// Simulated backend: the machine body performs Figure 4 step by
-		// step on the serialized substrate; events and register counts
-		// flow to the probe through Instrument's wiring.
-		resp := u.eng.execute(p, inv)
-		if u.probe != nil {
-			u.probe.OpDone(p, obs.OpExecute)
-		}
-		return resp
+		resp = u.eng.execute(p, inv)
+	} else {
+		resp = u.mcs[p].run(inv, u.mem)
 	}
-	// Step 1: atomic scan of the anchor array and response choice.
-	vec := u.snap.ReadMax(p).(lattice.Vec)
-	view := viewOf(vec)
-	lin := u.lins[p]
-	rebuildsBefore := lin.Stats().Rebuilds
-	resp, _, err := lin.Respond(view, inv)
-	if err != nil {
-		// The shared graph is produced exclusively by this algorithm;
-		// a cycle is an implementation bug (Lemma 18 excludes it).
-		panic("core: " + err.Error())
-	}
-	if u.probe != nil && lin.Stats().Rebuilds > rebuildsBefore {
-		u.probe.Event(p, obs.EvLinRebuild)
-	}
-	// Pure operations linearize at the scan and are never published:
-	// they have no effect, so no other process's response can depend on
-	// them, and skipping Step 2 halves their cost and keeps them out of
-	// the entry graph (the generic form of Section 5.4's type-specific
-	// optimization).
-	if spec.IsPure(u.s, inv) {
-		if u.probe != nil {
-			u.probe.Event(p, obs.EvPureElide)
-			u.probe.OpDone(p, obs.OpExecute)
-		}
-		if u.tr != nil {
-			u.tr.opEnd(p, view, lin, u.probe)
-		}
-		return resp
-	}
-	e := &Entry{Proc: p, Seq: nextSeq(view, u.seq[p]), Inv: inv, Resp: resp, Prev: view}
-	// Step 2: publish the entry (Write_L on the anchor array).
-	u.seq[p] = e.Seq
-	u.snap.Update(p, u.vl.Single(p, e.Seq, e))
 	if u.probe != nil {
-		u.probe.Event(p, obs.EvPublish)
+		u.reportRegs(p)
 		u.probe.OpDone(p, obs.OpExecute)
-	}
-	if u.tr != nil {
-		u.tr.notePublish(p)
-		u.tr.opEnd(p, view, lin, u.probe)
 	}
 	return resp
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -110,6 +111,96 @@ func TestConcurrentCounterTotals(t *testing.T) {
 	got := u.Execute(0, types.Read()).(int64)
 	if got != 0 { // equal inc and dec counts
 		t.Fatalf("final value = %d, want 0 (lost updates?)", got)
+	}
+}
+
+// TestRetainedConcurrentObservers: Retained is read by observers that
+// own no slot — the serving layer's retained_entries gauge, the shard
+// layer's retained sum, samplers — while the slots extend and truncate
+// their linearizers. Under the race detector this fails if the count
+// is read from slot-owned state without synchronization.
+func TestRetainedConcurrentObservers(t *testing.T) {
+	const n, opsPer = 3, 150
+	u := New(types.Counter{}, n)
+	if !u.EnableTruncation(16, 0) {
+		t.Fatal("counter must be checkpointable")
+	}
+	stop := make(chan struct{})
+	observed := make(chan int)
+	go func() {
+		peak := 0
+		for {
+			select {
+			case <-stop:
+				observed <- peak
+				return
+			default:
+			}
+			if r := u.Retained(); r > peak {
+				peak = r
+			}
+			runtime.Gosched()
+		}
+	}()
+	var wg sync.WaitGroup
+	for p := 0; p < n; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for k := 0; k < opsPer; k++ {
+				u.Execute(p, types.Inc(1))
+				u.TruncTick(p)
+				runtime.Gosched() // let the observer in on one CPU too
+			}
+		}(p)
+	}
+	wg.Wait()
+	close(stop)
+	if peak := <-observed; peak <= 0 {
+		t.Fatalf("observer never saw a retained entry (peak %d)", peak)
+	}
+	if got := u.Execute(0, types.Read()).(int64); got != n*opsPer {
+		t.Fatalf("final value = %d, want %d", got, n*opsPer)
+	}
+}
+
+// TestPanickingInvocationLeavesSlotUsable: a malformed invocation
+// panics inside the specification mid-operation. The panic must reach
+// the caller, and the slot must then serve operations and idle
+// truncation ticks normally on both substrates — a machine left
+// mid-operation would make every later Execute on the slot panic, and
+// the serving layer's idle ticker would crash the process.
+func TestPanickingInvocationLeavesSlotUsable(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mk   func() *Universal
+	}{
+		{"native", func() *Universal { return New(types.Counter{}, 2) }},
+		{"simulated", func() *Universal { return NewSimulated(types.Counter{}, 2, nil) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			u := tc.mk()
+			if !u.EnableTruncation(4, 0) {
+				t.Fatal("counter must be checkpointable")
+			}
+			for k := 0; k < 3; k++ {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatal("malformed invocation did not panic")
+						}
+					}()
+					u.Execute(0, spec.Inv{Op: "no-such-op"})
+				}()
+				u.TruncTick(0)
+				u.Execute(0, types.Inc(1))
+				u.Execute(1, types.Inc(1))
+				u.TruncTick(0)
+			}
+			if got := u.Execute(0, types.Read()).(int64); got != 6 {
+				t.Fatalf("final value = %d, want 6", got)
+			}
+		})
 	}
 }
 

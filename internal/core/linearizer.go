@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/bits"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/lingraph"
 	"repro/internal/spec"
@@ -50,6 +51,11 @@ type Linearizer struct {
 	entries []*Entry
 	index   map[*Entry]int32 // entry -> stable node id
 	anc     []bitset         // anc[id] = precedence ancestors of id (stable ids), excluding id
+
+	// live mirrors len(entries) for Retained, which observers on other
+	// goroutines (telemetry gauges, samplers) call while the owning
+	// process extends and truncates the index.
+	live atomic.Int64
 
 	// gen stamps the visited set used during discovery so one map
 	// serves every call without clearing.
@@ -178,8 +184,9 @@ func (l *Linearizer) Stats() LinStats {
 }
 
 // Retained returns the number of entries currently indexed — the
-// engine's live contribution to the entry graph's footprint.
-func (l *Linearizer) Retained() int { return len(l.entries) }
+// engine's live contribution to the entry graph's footprint. Unlike
+// the engine's other methods it is safe from any goroutine.
+func (l *Linearizer) Retained() int { return int(l.live.Load()) }
 
 // IndexedByProc returns the number of process-q entries this engine
 // has ever indexed. The count is monotone: truncation does not lower
@@ -295,6 +302,7 @@ func (l *Linearizer) extend(view []*Entry) []*Entry {
 			fresh = append(fresh, e)
 		}
 	}
+	l.live.Store(int64(len(l.entries)))
 	return fresh
 }
 
@@ -560,6 +568,7 @@ func (l *Linearizer) Truncate(w uint64) (removed int, boundary []*Entry, err err
 	}
 	l.dom = newDom
 	l.entries, l.index, l.anc, l.order = survivors, newIndex, newAnc, newOrder
+	l.live.Store(int64(len(survivors)))
 	l.visited = map[*Entry]uint32{}
 	l.gen = 0
 	l.base, l.baseKey = newBase, ck.Key

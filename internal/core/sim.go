@@ -10,18 +10,19 @@ import (
 	"repro/internal/spec"
 )
 
-// SimUniversal is the shared configuration of a simulated universal
-// object: the specification, the anchor array's snapshot layout, and
+// SimUniversal is the shared configuration of a universal object's
+// machines: the specification, the anchor array's snapshot layout, and
 // the tagged-vector lattice. It is immutable after construction and
-// shared by all process machines (and their clones).
+// shared by all process machines (and their clones), on either
+// substrate.
 type SimUniversal struct {
 	Spec spec.Spec
 	Lay  snapshot.Layout
 	VL   lattice.Vector
 }
 
-// NewSim lays out an n-process simulated universal object starting at
-// register base and installs its registers in m.
+// NewSim lays out an n-process universal object starting at register
+// base and installs its registers in m (simulated or native).
 func NewSim(s spec.Spec, n, base int, m pram.Memory) *SimUniversal {
 	vl := lattice.Vector{N: n}
 	lay := snapshot.Layout{Base: base, N: n}
@@ -41,7 +42,9 @@ const (
 )
 
 // Machine executes a script of invocations for one process of a
-// simulated universal object. Each operation is Figure 4 verbatim:
+// universal object — the construction's only body, driven by the
+// explorer, the chaos harness, and Universal on either substrate.
+// Each operation is Figure 4 verbatim:
 // one atomic scan (ReadMax) of the anchor array, a local response
 // computation, then one Write_L publishing the new entry. Both shared
 // steps delegate to the Section 6 ScanMachine, so an operation's cost
@@ -70,9 +73,9 @@ type Machine struct {
 
 	// probe, when set, receives the structural events of Figure 4's
 	// phases (publish, pure-elide, linearizer rebuild). Register counts
-	// and op begin/end are owned by the driving engine — the simulated
-	// memory already observes every access — so the machine reports
-	// only what the engine cannot see from outside.
+	// and op begin/end are owned by the caller stepping the machine —
+	// the memory already counts every access — so the machine reports
+	// only what the caller cannot see from outside.
 	probe obs.Probe
 
 	// tr, when set, is the truncation coordinator shared by every
@@ -117,43 +120,42 @@ func (mc *Machine) LinStats() LinStats { return mc.lin.Stats() }
 // steps run. A truncation-enabled machine cannot be cloned.
 func (mc *Machine) SetTruncation(tr *Truncation) { mc.tr = tr }
 
-// Retained returns the machine's live entry-graph footprint.
+// Retained returns the machine's live entry-graph footprint; safe
+// from any goroutine (see Linearizer.Retained).
 func (mc *Machine) Retained() int { return mc.lin.Retained() }
 
 // Invocation returns the i-th scripted invocation; Results()[i] is its
 // response once completed.
 func (mc *Machine) Invocation(i int) spec.Inv { return mc.script[i] }
 
-// Recycle releases the bookkeeping of the first consumed completed
-// operations — their invocations, their results, and the inner scan
-// machine's whole result log — shifting the indices of Invocation and
-// Results down by consumed. Only valid between operations, and only
-// for drivers (the simulated-backend engine) that consume results in
-// order and never revisit them; script-driven harnesses index by
-// absolute operation number and must not call this. With Recycle in
-// the loop a machine's footprint is bounded by its in-flight work, so
-// an Enqueue-fed machine can serve unboundedly many operations in
-// bounded memory — the local-state counterpart of the entry graph's
-// checkpoint-and-truncate protocol.
-func (mc *Machine) Recycle(consumed int) {
-	if mc.ph != simIdle {
-		panic("core: Recycle mid-operation")
+// run executes inv to completion on m from the calling goroutine —
+// native Universal.Execute's driver — and returns its response.
+func (mc *Machine) run(inv spec.Inv, m pram.Memory) any {
+	defer mc.reset()
+	mc.Enqueue(inv)
+	for !mc.Done() {
+		mc.Step(m)
 	}
-	if consumed < 0 || consumed > len(mc.results) {
-		panic(fmt.Sprintf("core: Recycle(%d) with %d completed results", consumed, len(mc.results)))
-	}
-	k := copy(mc.script, mc.script[consumed:])
-	for i := k; i < len(mc.script); i++ {
-		mc.script[i] = spec.Inv{}
-	}
-	mc.script = mc.script[:k]
-	k = copy(mc.results, mc.results[consumed:])
-	for i := k; i < len(mc.results); i++ {
-		mc.results[i] = nil
-	}
-	mc.results = mc.results[:k]
-	mc.next -= consumed
-	mc.scan.DropResults()
+	return mc.results[0]
+}
+
+// reset returns the machine to idle with an empty script and result
+// log, so an Enqueue-fed machine's footprint is bounded by its
+// in-flight work — the local-state counterpart of the entry graph's
+// checkpoint-and-truncate protocol. Universal's drivers defer it
+// around every operation, so it also abandons an operation whose step
+// panicked (a malformed invocation reaching the specification):
+// otherwise the slot would stay mid-operation and every later Execute
+// or TruncTick on it would panic too. An invocation can only panic
+// between the inner scans, in Linearizer.Respond before anything is
+// published, so the scan machine is idle and the abandoned operation
+// leaves no trace in shared memory. Script-driven harnesses index
+// results by operation number and must not call it.
+func (mc *Machine) reset() {
+	clear(mc.script)
+	clear(mc.results)
+	mc.script, mc.results = mc.script[:0], mc.results[:0]
+	mc.next, mc.ph, mc.pending, mc.lastView = 0, simIdle, nil, nil
 }
 
 // Results returns the responses of completed operations, in order.
@@ -190,24 +192,36 @@ func (mc *Machine) Clone() pram.Machine {
 	return &cp
 }
 
-// RefreshScan runs one complete anchor-array scan synchronously and
-// folds the view into the machine's linearizer — the idle-slot
-// catch-up a pending truncation fold may need. Only valid between
-// operations (ph == simIdle); the scan's accesses are charged to the
-// machine's process like any other steps.
-func (mc *Machine) RefreshScan(m pram.Memory) {
+// truncTick lends the idle machine's turn to a pending truncation
+// epoch (see Universal.TruncTick). When a fold waits on entries the
+// machine has not observed, it first runs one complete anchor-array
+// scan synchronously — charged to the machine's process like any
+// other steps — folds the view into its linearizer, and reports that
+// it scanned.
+func (mc *Machine) truncTick(m pram.Memory) (scanned bool) {
 	if mc.ph != simIdle {
-		panic("core: RefreshScan mid-operation")
+		panic("core: TruncTick mid-operation")
 	}
-	mc.scan.Enqueue(mc.u.VL.Bottom())
-	for !mc.scan.Done() {
-		mc.scan.Step(m)
+	if scanned = mc.tr.needsRefresh(mc.proc, mc.lin); scanned {
+		mc.scan.Enqueue(mc.u.VL.Bottom())
+		for !mc.scan.Done() {
+			mc.scan.Step(m)
+		}
+		if err := mc.lin.Refresh(viewOf(mc.takeScan())); err != nil {
+			panic("core: " + err.Error())
+		}
 	}
+	mc.tr.tick(mc.proc, mc.lin, mc.probe)
+	return scanned
+}
+
+// takeScan consumes the completed inner scan's result, so the scan
+// machine's result log never outgrows one operation.
+func (mc *Machine) takeScan() lattice.Vec {
 	rs := mc.scan.Results()
 	last := rs[len(rs)-1].(lattice.Vec)
-	if err := mc.lin.Refresh(viewOf(last)); err != nil {
-		panic("core: " + err.Error())
-	}
+	mc.scan.DropResults()
+	return last
 }
 
 // Step performs the machine's next shared-memory access.
@@ -222,23 +236,19 @@ func (mc *Machine) Step(m pram.Memory) {
 		// Step 1 of Figure 4: atomic scan of the anchor array.
 		mc.scan.Enqueue(mc.u.VL.Bottom())
 		mc.ph = simReading
-		mc.scan.Step(m)
-		mc.afterScanStep()
 	case simReading, simPublishing:
-		mc.scan.Step(m)
-		mc.afterScanStep()
 	default:
 		panic("core: corrupt phase")
 	}
+	mc.scan.Step(m)
+	if mc.scan.Done() {
+		mc.afterScan()
+	}
 }
 
-// afterScanStep advances the operation when the inner scan completes.
-func (mc *Machine) afterScanStep() {
-	if !mc.scan.Done() {
-		return
-	}
-	rs := mc.scan.Results()
-	last := rs[len(rs)-1].(lattice.Vec)
+// afterScan advances the operation once the inner scan completes.
+func (mc *Machine) afterScan() {
+	last := mc.takeScan()
 	switch mc.ph {
 	case simReading:
 		view := viewOf(last)

@@ -5,16 +5,13 @@ import (
 
 	"repro/internal/pram"
 	"repro/internal/sched"
-	"repro/internal/snapshot"
 	"repro/internal/spec"
 )
 
-// simEngine executes the universal construction's machine body
-// (Machine, the same state machine the chaos harness and exhaustive
-// explorer drive) on the simulated register substrate. It is the
-// engine behind the public simulated backend: a Universal built with
-// NewSimulated dispatches every Execute here instead of running the
-// hand-scheduled native body.
+// simEngine drives a Universal's machines on the simulated register
+// substrate. It is the engine behind the public simulated backend: a
+// Universal built with NewSimulated dispatches every Execute here
+// instead of letting the calling goroutine step its slot's machine.
 //
 // Execution is serialized by a mutex — that serialization is not a
 // concession but the substrate's semantics: the asynchronous PRAM's
@@ -26,24 +23,15 @@ import (
 type simEngine struct {
 	mu    sync.Mutex
 	mem   *pram.Mem
-	sim   *SimUniversal
-	mcs   []*Machine
+	mcs   []*Machine // the Universal's machines
 	sched pram.Scheduler
-	taken []int // results already returned, per slot
 }
 
-func newSimEngine(s spec.Spec, n int, sc pram.Scheduler) *simEngine {
-	lay := snapshot.Layout{Base: 0, N: n}
-	mem := pram.NewMem(lay.Regs(), n)
-	su := NewSim(s, n, 0, mem)
-	mcs := make([]*Machine, n)
-	for p := range mcs {
-		mcs[p] = NewMachine(su, p, nil)
-	}
+func newSimEngine(mem *pram.Mem, mcs []*Machine, sc pram.Scheduler) *simEngine {
 	if sc == nil {
 		sc = sched.NewRoundRobin()
 	}
-	return &simEngine{mem: mem, sim: su, mcs: mcs, sched: sc, taken: make([]int, n)}
+	return &simEngine{mem: mem, mcs: mcs, sched: sc}
 }
 
 // running returns the ascending indices of machines with unfinished
@@ -59,18 +47,20 @@ func (e *simEngine) running() []int {
 }
 
 // execute runs one operation for slot p: enqueue the invocation, then
-// pump scheduler-chosen steps until p's result is available. Steps
-// granted to other slots' pending operations (enqueued by concurrent
-// callers blocked on the mutex in earlier turns) interleave exactly as
-// the scheduler dictates. A scheduler that stops or chooses outside
-// the running set cannot wedge the public API: the pump falls back to
-// stepping p itself, which is wait-free.
+// pump scheduler-chosen steps until p's operation completes. A
+// scheduler that stops or chooses outside the running set cannot wedge
+// the public API: the pump falls back to stepping p itself, which is
+// wait-free. Each call runs its operation to completion under the
+// lock, and the deferred reset leaves p's machine idle and empty even
+// when a step panics, so every machine is idle between calls and a
+// long-running serve's footprint is bounded by in-flight work.
 func (e *simEngine) execute(p int, inv spec.Inv) any {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.mcs[p].Enqueue(inv)
-	want := e.taken[p]
-	for len(e.mcs[p].Results()) <= want {
+	mc := e.mcs[p]
+	defer mc.reset()
+	mc.Enqueue(inv)
+	for !mc.Done() {
 		running := e.running()
 		pick := e.sched.Next(running)
 		if !containsInt(running, pick) {
@@ -78,19 +68,7 @@ func (e *simEngine) execute(p int, inv spec.Inv) any {
 		}
 		e.mcs[pick].Step(e.mem)
 	}
-	e.taken[p]++
-	resp := e.mcs[p].Results()[want]
-	// Slot p is owned by one caller at a time (the Execute discipline),
-	// so once its result is taken the machine has no unconsumed history:
-	// recycle so a long-running serve's footprint is bounded by in-flight
-	// work, not by lifetime operation count. Other slots' machines may
-	// hold results their owners have not collected yet; they recycle on
-	// their own turns.
-	if mc := e.mcs[p]; mc.Done() && e.taken[p] == len(mc.Results()) {
-		mc.Recycle(e.taken[p])
-		e.taken[p] = 0
-	}
-	return resp
+	return mc.Results()[0]
 }
 
 // counters returns the substrate's access counters.
@@ -100,43 +78,16 @@ func (e *simEngine) counters() pram.Counters {
 	return e.mem.Counters()
 }
 
-// retained returns the maximum live entry count across the machines.
-func (e *simEngine) retained() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	max := 0
-	for _, mc := range e.mcs {
-		if r := mc.Retained(); r > max {
-			max = r
-		}
-	}
-	return max
-}
-
 // truncTick lends slot p's idle time to a pending truncation epoch.
 // Lock order everywhere is e.mu → tr.mu (the machine hooks fire
 // inside execute, which already holds e.mu). The extra catch-up scan
 // costs real steps on the serialized substrate and is charged to p —
 // acceptable for the serving layer's idle slots, which is the only
 // caller.
-func (e *simEngine) truncTick(p int) {
+func (e *simEngine) truncTick(p int) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	mc := e.mcs[p]
-	if mc.tr == nil || !mc.Done() {
-		return
-	}
-	if mc.tr.needsRefresh(p, mc.lin) {
-		mc.RefreshScan(e.mem)
-		// The catch-up scan's result has been folded into the
-		// linearizer; drop it so an idle slot ticking forever (the
-		// serving layer's 1ms ticker) stays at constant footprint.
-		if e.taken[p] == len(mc.Results()) {
-			mc.Recycle(e.taken[p])
-			e.taken[p] = 0
-		}
-	}
-	mc.tr.tick(p, mc.lin, mc.probe)
+	return e.mcs[p].truncTick(e.mem)
 }
 
 func containsInt(xs []int, x int) bool {

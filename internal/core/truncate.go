@@ -11,8 +11,8 @@ import (
 // Truncation coordinates checkpoint-and-truncate epochs for one
 // universal object: the protocol that keeps the entry graph bounded
 // under sustained traffic. It is shared by every process of the
-// object (the native Universal's slots, or every sim Machine built
-// over one SimUniversal) and advances exclusively at *turn
+// object (every Machine built over one SimUniversal, whoever steps
+// them) and advances exclusively at *turn
 // boundaries* — the end of an operation, or an explicit idle tick —
 // never inside one.
 //

@@ -45,7 +45,11 @@ type Memory interface {
 	Write(p, r int, v Value)
 
 	// Peek returns register r's contents without counting an access —
-	// for test assertions and oracles, never for algorithms.
+	// for test assertions, oracles and observers that own no process
+	// (core.Universal.RootTags), never for a machine's own steps. On
+	// *native.Mem it is one atomic load, safe to call while the run
+	// proceeds; on *Mem it is a plain read, safe only from the
+	// goroutine that serializes the run.
 	Peek(r int) Value
 	// Counters returns a copy of the access counters.
 	Counters() Counters

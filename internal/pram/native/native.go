@@ -147,9 +147,11 @@ func (m *Mem) Write(p, r int, v pram.Value) {
 	m.cells[r].Store(&box{v})
 }
 
-// Peek returns register r's contents without counting an access — for
-// test assertions and oracles, never for algorithms. Safe to call
-// concurrently with the run.
+// Peek returns register r's contents without counting an access: one
+// atomic load, safe to call concurrently with the run. It serves test
+// assertions, oracles and observers that own no process (the anchor
+// array's row-0 reads in core.Universal.RootTags), never a machine's
+// own steps, which must Read.
 func (m *Mem) Peek(r int) pram.Value { return m.cells[r].Load().v }
 
 // Owner returns register r's configured owner, or pram.NoOwner.

@@ -107,12 +107,16 @@ func TestRunUniversalCounter(t *testing.T) {
 	if err := native.Run(mem, machines); err != nil {
 		t.Fatal(err)
 	}
-	// A fresh machine reads the final count through the same substrate.
-	probe := core.NewMachine(u, 0, []spec.Inv{types.Read()})
+	// Slot 0's machine reads the final count through the same
+	// substrate. It must be slot 0's own machine: a scan skips its
+	// self-reads in favour of its local copies, so a fresh machine for
+	// slot 0 would miss slot 0's publications that no other slot saw.
+	probe := machines[0].(*core.Machine)
+	probe.Enqueue(types.Read())
 	for !probe.Done() {
 		probe.Step(mem)
 	}
-	if got := probe.Results()[0]; got != int64(n*opsPer) {
+	if got := probe.Results()[opsPer]; got != int64(n*opsPer) {
 		t.Fatalf("final count = %v, want %d", got, n*opsPer)
 	}
 	c := mem.Counters()

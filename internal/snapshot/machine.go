@@ -7,10 +7,11 @@
 //
 // Two execution modes are provided:
 //
-//   - ScanMachine: a step-granular state machine for the asynchronous
-//     PRAM simulator, in both the paper's literal form (n²+n+1 reads,
-//     n+2 writes per Scan) and the Section 6.2 optimized form (n²−1
-//     reads, n+1 writes);
+//   - ScanMachine: a step-granular state machine over any pram.Memory
+//     (the simulator or native atomics; the universal construction
+//     scans through it on both), in both the paper's literal form
+//     (n²+n+1 reads, n+2 writes per Scan) and the Section 6.2
+//     optimized form (n²−1 reads, n+1 writes);
 //   - Snapshot: a native goroutine implementation on atomic registers.
 //
 // The package also provides the end-of-Section-6 construction of a
@@ -79,6 +80,7 @@ type ScanMachine struct {
 	proc      int
 	lay       Layout
 	lat       lattice.Lattice
+	ip        lattice.InPlace // non-nil when lat supports in-place joins
 	optimized bool
 
 	queue   []any // pending scan arguments
@@ -89,7 +91,11 @@ type ScanMachine struct {
 	cur any // argument of the operation in progress
 	i   int // current pass, 1..n+1
 	q   int // reads completed within the current pass
-	acc any // running join for the current pass
+	// acc is the running join for the current pass. With ip set it is
+	// a private in-place accumulator while ph == phPass (one
+	// allocation per pass, as in Snapshot.Scan) and frozen before it
+	// is written or returned.
+	acc any
 }
 
 // NewScanMachine returns a machine for process proc. If optimized is
@@ -103,7 +109,8 @@ func NewScanMachine(proc int, lay Layout, lat lattice.Lattice, optimized bool) *
 	for i := range local {
 		local[i] = lat.Bottom()
 	}
-	return &ScanMachine{proc: proc, lay: lay, lat: lat, optimized: optimized, local: local}
+	ip, _ := lat.(lattice.InPlace)
+	return &ScanMachine{proc: proc, lay: lay, lat: lat, ip: ip, optimized: optimized, local: local}
 }
 
 // Enqueue appends a Scan(v) operation to the machine's script. Use the
@@ -136,6 +143,11 @@ func (mc *ScanMachine) Clone() pram.Machine {
 	cp.queue = append([]any(nil), mc.queue...)
 	cp.results = append([]any(nil), mc.results...)
 	cp.local = append([]any(nil), mc.local...)
+	if mc.ip != nil && mc.ph == phPass {
+		// The pass accumulator is mutated in place: a clone stepped
+		// against other register contents needs its own.
+		cp.acc = mc.ip.NewAccum(mc.acc)
+	}
 	return &cp
 }
 
@@ -169,17 +181,39 @@ func (mc *ScanMachine) startPass(i int) {
 	mc.i = i
 	mc.q = 0
 	mc.acc = mc.local[i]
+	if mc.ip != nil {
+		mc.acc = mc.ip.NewAccum(mc.acc)
+	}
 	if mc.optimized {
-		mc.acc = mc.lat.Join(mc.acc, mc.local[i-1])
+		mc.join(mc.local[i-1])
 		if i == mc.lastPass() && mc.readsPerPass() == 0 {
+			mc.endPass()
 			mc.finish()
 		}
 	}
 }
 
-// finish completes the operation in progress with result acc.
+// join folds x into the pass accumulator.
+func (mc *ScanMachine) join(x any) {
+	if mc.ip != nil {
+		mc.acc = mc.ip.Accumulate(mc.acc, x)
+	} else {
+		mc.acc = mc.lat.Join(mc.acc, x)
+	}
+}
+
+// endPass freezes the pass accumulator into pass i's value.
+func (mc *ScanMachine) endPass() any {
+	if mc.ip != nil {
+		mc.acc = mc.ip.Freeze(mc.acc)
+	}
+	mc.local[mc.i] = mc.acc
+	return mc.acc
+}
+
+// finish completes the operation in progress with the final pass's
+// value (endPass has run).
 func (mc *ScanMachine) finish() {
-	mc.local[mc.lastPass()] = mc.acc
 	mc.results = append(mc.results, mc.acc)
 	mc.ph = phIdle
 }
@@ -215,20 +249,19 @@ func (mc *ScanMachine) Step(m pram.Memory) {
 		if mc.q < mc.readsPerPass() {
 			// Line 5: join in scan[Q][i-1].
 			target := mc.readTarget(mc.q)
-			v := m.Read(mc.proc, mc.lay.Reg(target, mc.i-1))
-			mc.acc = mc.lat.Join(mc.acc, v)
+			mc.join(m.Read(mc.proc, mc.lay.Reg(target, mc.i-1)))
 			mc.q++
 			if mc.optimized && mc.i == mc.lastPass() && mc.q == mc.readsPerPass() {
 				// Optimized variant: the very last write is
 				// unnecessary (Section 6.2); the final pass ends at
 				// its last read.
+				mc.endPass()
 				mc.finish()
 			}
 			return
 		}
 		// End of pass: write scan[P][i].
-		mc.local[mc.i] = mc.acc
-		m.Write(mc.proc, mc.lay.Reg(mc.proc, mc.i), mc.acc)
+		m.Write(mc.proc, mc.lay.Reg(mc.proc, mc.i), mc.endPass())
 		if mc.i == mc.lastPass() {
 			mc.finish()
 			return

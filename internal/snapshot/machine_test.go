@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/lattice"
 	"repro/internal/pram"
+	"repro/internal/pram/native"
 	"repro/internal/sched"
 )
 
@@ -339,6 +340,70 @@ func TestScanMachineCloneIsolation(t *testing.T) {
 	if got := clm.Results()[0].(int64); got != 5 {
 		t.Errorf("clone result = %d, want 5", got)
 	}
+}
+
+// TestScanMachineInPlace pins the in-place pass accumulation that lets
+// the Figure 4 machine run on native atomics at the hand-written
+// Snapshot.Scan's cost. Over the tagged-vector lattice on the native
+// substrate, one machine scan allocates at most two objects more than
+// Snapshot.Scan (without the in-place path it allocates one vector per
+// read). And because the accumulator is mutated in place, a machine
+// cloned mid-pass must own its own: stepping the clone against other
+// register contents must leave the original's result unchanged.
+func TestScanMachineInPlace(t *testing.T) {
+	const n = 8
+	vl := lattice.Vector{N: n}
+	lay := Layout{N: n}
+
+	t.Run("allocs", func(t *testing.T) {
+		arg := vl.Single(0, 1, "x")
+		snap := New(n, vl)
+		want := testing.AllocsPerRun(100, func() { snap.Scan(0, arg) })
+		mem := native.NewMem(lay.Regs(), n)
+		lay.Install(mem, vl)
+		mc := NewScanMachine(0, lay, vl, true)
+		got := testing.AllocsPerRun(100, func() {
+			mc.Enqueue(arg)
+			for !mc.Done() {
+				mc.Step(mem)
+			}
+			mc.DropResults()
+		})
+		if got > want+2 {
+			t.Fatalf("ScanMachine scan: %.0f allocs, Snapshot.Scan: %.0f (allowed +2)", got, want)
+		}
+	})
+
+	t.Run("clone-mid-pass", func(t *testing.T) {
+		mem := pram.NewMem(lay.Regs(), n)
+		lay.Install(mem, vl)
+		mc := NewScanMachine(0, lay, vl, true)
+		mc.Enqueue(vl.Single(0, 1, "p0"))
+		// The row-0 write, pass 1 (n−1 reads and a write), then two of
+		// pass 2's reads: the accumulator is live.
+		for k := 0; k < n+3; k++ {
+			mc.Step(mem)
+		}
+		cl := mc.Clone().(*ScanMachine)
+		// In the clone's world process n−1 has published into the row
+		// pass 2 has yet to read.
+		other := mem.Clone()
+		other.Write(n-1, lay.Reg(n-1, 1), vl.Single(n-1, 7, "late"))
+		for !cl.Done() {
+			cl.Step(other)
+		}
+		for !mc.Done() {
+			mc.Step(mem)
+		}
+		got := mc.Results()[0].(lattice.Vec)
+		clGot := cl.Results()[0].(lattice.Vec)
+		if clGot[n-1].Tag != 7 || clGot[0].Tag != 1 {
+			t.Fatalf("clone result %v: want its own write and the late publication", clGot)
+		}
+		if got[n-1].Tag != 0 || got[0].Tag != 1 {
+			t.Fatalf("original result %v saw the clone's register contents", got)
+		}
+	})
 }
 
 func TestLayoutValidation(t *testing.T) {

@@ -142,23 +142,6 @@ func (s *Snapshot) Update(p int, v any) { s.Scan(p, v) }
 // operations linearized before it.
 func (s *Snapshot) ReadMax(p int) any { return s.Scan(p, s.lat.Bottom()) }
 
-// PeekRow0 returns process q's own row-0 register — the join of
-// everything q has contributed, stored as the FIRST write of q's every
-// Scan/Update. Unlike Scan it needs no slot: it is a single atomic
-// load, safe from any goroutine, and it mutates no local-copy state.
-// Observers (the sharded construction's snapshot validator) use it to
-// detect publications: q's row-0 value changes before q's update is
-// visible to any scan, and any scan whose first row of reads starts
-// after the load sees at least this value.
-//
-// The load is NOT reported to the probe: callers are outside the
-// per-slot accounting discipline (they own no slot), so they must
-// account for their own accesses.
-func (s *Snapshot) PeekRow0(q int) any {
-	s.check(q)
-	return s.cells[q][0].Load().v
-}
-
 func (s *Snapshot) check(p int) {
 	if p < 0 || p >= s.n {
 		panic(fmt.Sprintf("snapshot: process %d out of range [0,%d)", p, s.n))

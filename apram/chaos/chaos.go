@@ -356,7 +356,7 @@ func execute(tg *target, tr *histio.TraceFile, sc sched.Scheduler) (*Report, err
 			started[p] = step
 			accStart[p] = accBy[p]
 			if completed[p] < inst.nops(p) {
-				obs.Begin(probe, p, inst.opKind)
+				probe.OpBegin(p, inst.opKind)
 			}
 		}
 		pre := accBy[p]

@@ -107,26 +107,6 @@ func NativeStructures() []string {
 	return out
 }
 
-// nativeProbe counts register accesses per slot. Probe methods are
-// invoked from the goroutine driving the slot; atomics keep the
-// cross-goroutine report assembly race-free.
-type nativeProbe struct {
-	reads, writes []atomic.Uint64
-}
-
-func newNativeProbe(n int) *nativeProbe {
-	return &nativeProbe{reads: make([]atomic.Uint64, n), writes: make([]atomic.Uint64, n)}
-}
-
-func (p *nativeProbe) RegReads(slot, n int)        { p.reads[slot].Add(uint64(n)) }
-func (p *nativeProbe) RegWrites(slot, n int)       { p.writes[slot].Add(uint64(n)) }
-func (p *nativeProbe) Event(slot int, e obs.Event) {}
-func (p *nativeProbe) OpDone(slot int, op obs.Op)  {}
-
-func (p *nativeProbe) accesses(slot int) uint64 {
-	return p.reads[slot].Load() + p.writes[slot].Load()
-}
-
 // RunNative executes one configuration on the native backend. Script
 // and fault-plan generation are a pure function of cfg (same generator
 // alphabet as the simulated targets); the interleaving is the Go
@@ -184,7 +164,7 @@ func RunNative(cfg Config) (*NativeReport, error) {
 	}
 
 	u := core.New(s, n)
-	probe := newNativeProbe(n)
+	probe := obs.NewStats(n)
 	u.Instrument(probe)
 	if doTrunc {
 		if !u.EnableTruncation(truncEvery, 0) {
@@ -238,7 +218,7 @@ func RunNative(cfg Config) (*NativeReport, error) {
 					runtime.Gosched()
 				}
 				inv := scripts[p][i]
-				before := probe.accesses(p)
+				before := probe.AccessesBy(p)
 				start := clock.Add(1)
 				resp := u.Execute(p, inv)
 				end := clock.Add(1)
@@ -249,7 +229,7 @@ func RunNative(cfg Config) (*NativeReport, error) {
 				recs[p] = append(recs[p], opRec{
 					proc: p, idx: i, inv: inv, resp: resp,
 					start: start, end: end,
-					accesses: probe.accesses(p) - before, bound: bound,
+					accesses: probe.AccessesBy(p) - before, bound: bound,
 				})
 			}
 			// A finished (but not crashed) process lends its idle slot to

@@ -19,7 +19,7 @@ func driveTruncSpans(t *testing.T) []obs.Span {
 	step := uint64(0)
 	rec := apram.NewRecorder(n, obs.WithClock(func() uint64 { step++; return step }))
 	obj := apram.NewObject(apram.CounterSpec{}, n,
-		apram.WithRecorder(rec),
+		apram.WithProbe(rec),
 		apram.WithBackend(apram.Simulated(nil)),
 		apram.WithTruncateEvery(8))
 	if !obj.TruncationEnabled() {

@@ -2,10 +2,11 @@ package obs
 
 import "time"
 
-// MonotonicClock returns a wall-clock timestamp source for WithClock:
-// nanoseconds on Go's monotonic clock since the moment the source was
-// created. It is the clock for native-backend recording, where there
-// is no deterministic step counter to borrow — the simulators pass
+// MonotonicClock returns a wall-clock timestamp source for WithClock
+// (and the telemetry registry's default clock): nanoseconds on Go's
+// monotonic clock since the moment the source was created. It is the
+// clock for native-backend recording, where there is no deterministic
+// step counter to borrow — the simulators pass
 // pram.System.TotalSteps instead, which is what makes *their* traces
 // byte-identical across replays.
 //
@@ -20,14 +21,4 @@ import "time"
 func MonotonicClock() func() uint64 {
 	epoch := time.Now()
 	return func() uint64 { return uint64(time.Since(epoch)) }
-}
-
-// WithMonotonicClock is shorthand for WithClock(MonotonicClock()): it
-// stamps records with wall-clock nanoseconds, the timestamp source for
-// native-backend (real goroutine) runs. The default clock — an
-// internal monotone tick — orders records but measures nothing; a
-// deterministic step clock measures schedules but not time. This one
-// measures time.
-func WithMonotonicClock() RecorderOption {
-	return WithClock(MonotonicClock())
 }

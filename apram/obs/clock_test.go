@@ -36,21 +36,21 @@ func TestMonotonicClockAdvances(t *testing.T) {
 }
 
 // TestRecorderMonotonicWellOrdered is the native-trace ordering
-// contract: with WithMonotonicClock, concurrent slots each produce a
+// contract: with WithClock(MonotonicClock()), concurrent slots each produce a
 // per-slot record stream with nondecreasing timestamps, every begin
 // precedes its end, and the merged timeline is sorted — so a trace of
 // a real-goroutine run is always replayable even though it is not
 // deterministic.
 func TestRecorderMonotonicWellOrdered(t *testing.T) {
 	const n, opsPer = 4, 64
-	rec := obs.NewRecorder(n, obs.WithMonotonicClock(), obs.WithSpanCapacity(4*opsPer))
+	rec := obs.NewRecorder(n, obs.WithClock(obs.MonotonicClock()), obs.WithSpanCapacity(4*opsPer))
 	var wg sync.WaitGroup
 	for slot := 0; slot < n; slot++ {
 		wg.Add(1)
 		go func(slot int) {
 			defer wg.Done()
 			for i := 0; i < opsPer; i++ {
-				obs.Begin(rec, slot, obs.OpExecute)
+				rec.OpBegin(slot, obs.OpExecute)
 				rec.RegReads(slot, 3)
 				rec.OpDone(slot, obs.OpExecute)
 			}

@@ -1,7 +1,14 @@
 // Package obs is the pluggable observability layer for the apram
-// wait-free data structures: exact per-slot register read/write
-// accounting, structural events (retries, helping, publishes, rounds,
-// coin flips), and per-operation step histograms.
+// wait-free data structures: one Probe interface carrying exact
+// per-slot register read/write accounting, structural events
+// (retries, helping, publishes, rounds, coin flips), and the edges of
+// operation, batch and truncation-epoch spans.
+//
+// obs counts what the paper's cost model (§2) charges and records the
+// span edges; it keeps no distributions, gauges or clocks of its own.
+// Latency and batch-size distributions, levels such as the retained
+// entry count, and sample clocks live in apram/telemetry, which the
+// serving layers feed (apram.WithTelemetry).
 //
 // The paper's quantitative core is exact operation counting — Section
 // 6.2 derives that one atomic Scan costs exactly n+1 register writes
@@ -35,7 +42,7 @@
 // (local-copy reads the algorithms elide are, correctly, not counted).
 // OpDone closes one high-level operation; Stats attributes to it every
 // register access since the slot's previous OpDone, which is what
-// makes the per-op histograms measured rather than derived.
+// makes the per-op step counts measured rather than derived.
 package obs
 
 // Op identifies a completed high-level operation reported via
@@ -79,9 +86,9 @@ const (
 	// OpTruncEpoch is one slot's participation interval in a
 	// checkpoint-and-truncate epoch: its begin edge is the slot's ack,
 	// its end edge the slot's fold (or the abort/idle boundary that
-	// releases it). It is emitted only through the EpochProbe
-	// extension — span-aware probes render epochs as intervals; Stats
-	// never sees it, so steps-per-op attribution is untouched.
+	// releases it). It is reported only through Probe.EpochBegin and
+	// Probe.EpochEnd — span-aware probes render epochs as intervals;
+	// Stats ignores both, so steps-per-op attribution is untouched.
 	OpTruncEpoch
 
 	// NumOps bounds the Op enum; keep it last.
@@ -139,7 +146,8 @@ const (
 	EvLinRebuild
 	// EvBatch is an apram/serve slot worker publishing one composed
 	// batch on behalf of queued client requests (the batch's size goes
-	// to BatchProbe.BatchDone, which Stats turns into a distribution).
+	// to Probe.BatchDone; its distribution is serve's telemetry
+	// batch_size histogram).
 	EvBatch
 	// EvCheckpoint is one process folding a dominated history prefix
 	// into its spec.Key-validated checkpoint state during a truncation
@@ -181,7 +189,9 @@ func (e Event) String() string {
 // the slot's single-writer discipline: a given slot's callbacks never
 // race with each other, but distinct slots call concurrently.
 // Implementations must be wait-free — no locks, no channels, no
-// blocking — or they revoke the objects' progress guarantee.
+// blocking — or they revoke the objects' progress guarantee. An
+// observer that has no use for a callback implements it as a no-op,
+// as Stats does for the span edges and batch sizes.
 type Probe interface {
 	// RegReads records n atomic register reads performed by slot.
 	RegReads(slot, n int)
@@ -189,136 +199,25 @@ type Probe interface {
 	RegWrites(slot, n int)
 	// Event records one occurrence of a structural event on slot.
 	Event(slot int, e Event)
-	// OpDone records completion of one high-level operation by slot.
-	OpDone(slot int, op Op)
-}
-
-// SpanProbe is an optional Probe extension for observers that track
-// operation *intervals* rather than just completions. Objects announce
-// the start of each top-level operation through obs.Begin, which
-// forwards to OpBegin when the attached probe implements it and is a
-// no-op otherwise — so plain Probes (Stats) keep working unchanged
-// while span-aware ones (Recorder) see both edges. OpBegin follows the
-// same single-writer, wait-free contract as every Probe method.
-type SpanProbe interface {
-	Probe
 	// OpBegin records that slot started executing op. Every OpBegin is
 	// eventually paired with an OpDone for the same slot unless the
 	// process crashes mid-operation.
 	OpBegin(slot int, op Op)
-}
-
-// Begin reports an operation start to p if (and only if) p is a
-// SpanProbe. Callers guard with their usual nil-probe check; Begin
-// itself only pays a type assertion.
-func Begin(p Probe, slot int, op Op) {
-	if sp, ok := p.(SpanProbe); ok {
-		sp.OpBegin(slot, op)
-	}
-}
-
-// BatchProbe is an optional Probe extension for observers that track
-// the apram/serve layer's batch sizes. It follows the same pattern as
-// SpanProbe: the serve workers announce each completed batch through
-// obs.BatchDone, plain Probes ignore it, and Stats folds the sizes
-// into a distribution. Same single-writer, wait-free contract as every
-// Probe method.
-type BatchProbe interface {
-	Probe
-	// BatchDone records that slot completed one composed batch
-	// carrying size logical client operations.
+	// OpDone records completion of one high-level operation by slot.
+	OpDone(slot int, op Op)
+	// BatchDone records that slot completed one apram/serve batch
+	// carrying size logical client operations (reported once per
+	// serve turn, just before the turn's OpDone(OpBatch)).
 	BatchDone(slot, size int)
-}
-
-// BatchDone reports a completed batch to p if (and only if) p is a
-// BatchProbe. Callers guard with their usual nil-probe check;
-// BatchDone itself only pays a type assertion.
-func BatchDone(p Probe, slot, size int) {
-	if bp, ok := p.(BatchProbe); ok {
-		bp.BatchDone(slot, size)
-	}
-}
-
-// EpochProbe is an optional Probe extension for observers that track
-// truncation-epoch participation intervals. The coordinator announces
-// each slot's interval edges through obs.EpochBegin / obs.EpochEnd at
-// turn boundaries: begin when the slot acks an epoch, end when it
-// folds (or when an aborted epoch releases it). Unlike OpBegin/OpDone
-// the edges carry no access deltas and must not disturb an observer's
-// per-op accounting — an epoch interval spans many of the slot's
-// operations, and its edges can fall inside an enclosing serve-layer
-// batch span. Same single-writer, wait-free contract as every Probe
-// method.
-type EpochProbe interface {
-	Probe
-	// EpochBegin records that slot entered a truncation epoch
-	// (acknowledged it).
+	// EpochBegin records that slot entered a truncation epoch (acked
+	// it), and EpochEnd that it left it (folded, or was released by an
+	// abort). The coordinator reports both at turn boundaries. Unlike
+	// OpBegin/OpDone the edges carry no access deltas and must not
+	// disturb an observer's per-op accounting: an epoch interval spans
+	// many of the slot's operations, and its edges can fall inside an
+	// enclosing serve batch span.
 	EpochBegin(slot int)
-	// EpochEnd records that slot left the epoch (folded, or was
-	// released by an abort).
 	EpochEnd(slot int)
-}
-
-// EpochBegin reports an epoch entry to p if (and only if) p is an
-// EpochProbe, mirroring the other extension helpers.
-func EpochBegin(p Probe, slot int) {
-	if ep, ok := p.(EpochProbe); ok {
-		ep.EpochBegin(slot)
-	}
-}
-
-// EpochEnd reports an epoch exit to p if (and only if) p is an
-// EpochProbe.
-func EpochEnd(p Probe, slot int) {
-	if ep, ok := p.(EpochProbe); ok {
-		ep.EpochEnd(slot)
-	}
-}
-
-// Gauge identifies a point-in-time level reported via
-// GaugeProbe.GaugeSet — a value that moves both ways, unlike the
-// monotone counters behind Event.
-type Gauge uint8
-
-// Gauges.
-const (
-	// GaugeRetained is the number of entries the universal
-	// construction's entry graph currently retains; truncation epochs
-	// lower it, publications raise it.
-	GaugeRetained Gauge = iota
-
-	// NumGauges bounds the Gauge enum; keep it last.
-	NumGauges
-)
-
-var gaugeNames = [NumGauges]string{"retained-entries"}
-
-// String names the gauge (stable identifiers, used as JSON keys).
-func (g Gauge) String() string {
-	if g < NumGauges {
-		return gaugeNames[g]
-	}
-	return "gauge?"
-}
-
-// GaugeProbe is an optional Probe extension for observers that track
-// levels. Objects announce level changes through obs.GaugeSet, which
-// forwards when the attached probe implements the extension and is a
-// no-op otherwise — the same pattern as SpanProbe and BatchProbe.
-// Same single-writer, wait-free contract as every Probe method.
-type GaugeProbe interface {
-	Probe
-	// GaugeSet records that, as observed by slot, gauge g now reads v.
-	GaugeSet(slot int, g Gauge, v uint64)
-}
-
-// GaugeSet reports a gauge level to p if (and only if) p is a
-// GaugeProbe. Callers guard with their usual nil-probe check; GaugeSet
-// itself only pays a type assertion.
-func GaugeSet(p Probe, slot int, g Gauge, v uint64) {
-	if gp, ok := p.(GaugeProbe); ok {
-		gp.GaugeSet(slot, g, v)
-	}
 }
 
 // Nop is the no-op probe: the default when no probe is attached.
@@ -329,15 +228,14 @@ var Nop Probe = nop{}
 
 type nop struct{}
 
-func (nop) RegReads(int, int)           {}
-func (nop) RegWrites(int, int)          {}
-func (nop) Event(int, Event)            {}
-func (nop) OpDone(int, Op)              {}
-func (nop) OpBegin(int, Op)             {}
-func (nop) BatchDone(int, int)          {}
-func (nop) GaugeSet(int, Gauge, uint64) {}
-func (nop) EpochBegin(int)              {}
-func (nop) EpochEnd(int)                {}
+func (nop) RegReads(int, int)  {}
+func (nop) RegWrites(int, int) {}
+func (nop) Event(int, Event)   {}
+func (nop) OpBegin(int, Op)    {}
+func (nop) OpDone(int, Op)     {}
+func (nop) BatchDone(int, int) {}
+func (nop) EpochBegin(int)     {}
+func (nop) EpochEnd(int)       {}
 
 // Multi fans callbacks out to several probes in order. Nil entries are
 // dropped; an empty result degenerates to Nop.
@@ -377,60 +275,33 @@ func (m multi) Event(slot int, e Event) {
 	}
 }
 
+func (m multi) OpBegin(slot int, op Op) {
+	for _, p := range m {
+		p.OpBegin(slot, op)
+	}
+}
+
 func (m multi) OpDone(slot int, op Op) {
 	for _, p := range m {
 		p.OpDone(slot, op)
 	}
 }
 
-// OpBegin forwards the operation start to every member that is itself
-// a SpanProbe, so a Multi(stats, recorder) fan-out satisfies SpanProbe
-// without demanding it of every member.
-func (m multi) OpBegin(slot int, op Op) {
-	for _, p := range m {
-		if sp, ok := p.(SpanProbe); ok {
-			sp.OpBegin(slot, op)
-		}
-	}
-}
-
-// BatchDone forwards the batch completion to every member that is
-// itself a BatchProbe, mirroring OpBegin's extension forwarding.
 func (m multi) BatchDone(slot, size int) {
 	for _, p := range m {
-		if bp, ok := p.(BatchProbe); ok {
-			bp.BatchDone(slot, size)
-		}
+		p.BatchDone(slot, size)
 	}
 }
 
-// GaugeSet forwards the gauge level to every member that is itself a
-// GaugeProbe, mirroring the other extension forwarders.
-func (m multi) GaugeSet(slot int, g Gauge, v uint64) {
-	for _, p := range m {
-		if gp, ok := p.(GaugeProbe); ok {
-			gp.GaugeSet(slot, g, v)
-		}
-	}
-}
-
-// EpochBegin forwards the epoch entry to every member that is itself
-// an EpochProbe, mirroring the other extension forwarders.
 func (m multi) EpochBegin(slot int) {
 	for _, p := range m {
-		if ep, ok := p.(EpochProbe); ok {
-			ep.EpochBegin(slot)
-		}
+		p.EpochBegin(slot)
 	}
 }
 
-// EpochEnd forwards the epoch exit to every member that is itself an
-// EpochProbe.
 func (m multi) EpochEnd(slot int) {
 	for _, p := range m {
-		if ep, ok := p.(EpochProbe); ok {
-			ep.EpochEnd(slot)
-		}
+		p.EpochEnd(slot)
 	}
 }
 
@@ -445,11 +316,13 @@ const (
 	KindWrites
 	// KindEvent is an Event callback.
 	KindEvent
-	// KindOp is an OpDone callback.
+	// KindOp is an OpDone callback (EpochEnd traces as KindOp with
+	// OpTruncEpoch).
 	KindOp
-	// KindBegin is an OpBegin callback (span-aware probes only).
+	// KindBegin is an OpBegin callback (EpochBegin traces as KindBegin
+	// with OpTruncEpoch).
 	KindBegin
-	// KindBatch is a BatchDone callback (batch-aware probes only).
+	// KindBatch is a BatchDone callback.
 	KindBatch
 )
 
@@ -478,7 +351,7 @@ type Record struct {
 	Slot int
 	// Kind says which callback fired.
 	Kind Kind
-	// Op is set for KindOp records.
+	// Op is set for KindOp and KindBegin records.
 	Op Op
 	// Event is set for KindEvent records.
 	Event Event
@@ -506,8 +379,13 @@ func (t Trace) Event(slot int, e Event) { t(Record{Slot: slot, Kind: KindEvent, 
 // OpDone traces an operation completion.
 func (t Trace) OpDone(slot int, op Op) { t(Record{Slot: slot, Kind: KindOp, Op: op}) }
 
-// OpBegin traces an operation start, making Trace a SpanProbe.
+// OpBegin traces an operation start.
 func (t Trace) OpBegin(slot int, op Op) { t(Record{Slot: slot, Kind: KindBegin, Op: op}) }
 
-// BatchDone traces a batch completion, making Trace a BatchProbe.
+// BatchDone traces a batch completion.
 func (t Trace) BatchDone(slot, size int) { t(Record{Slot: slot, Kind: KindBatch, N: size}) }
+
+// EpochBegin and EpochEnd trace a truncation-epoch interval as the
+// begin and end of an OpTruncEpoch, the way the Recorder renders it.
+func (t Trace) EpochBegin(slot int) { t.OpBegin(slot, OpTruncEpoch) }
+func (t Trace) EpochEnd(slot int)   { t.OpDone(slot, OpTruncEpoch) }

@@ -53,28 +53,6 @@ func TestStatsCountsAndAttribution(t *testing.T) {
 	}
 }
 
-func TestHistogramBuckets(t *testing.T) {
-	cases := []struct {
-		steps  uint64
-		bucket int
-	}{
-		{0, 0}, {1, 0}, {2, 1}, {3, 1}, {4, 2}, {7, 2}, {8, 3},
-		{1 << 19, HistBuckets - 1}, {1 << 40, HistBuckets - 1},
-	}
-	for _, c := range cases {
-		if got := bucket(c.steps); got != c.bucket {
-			t.Errorf("bucket(%d) = %d, want %d", c.steps, got, c.bucket)
-		}
-	}
-	st := NewStats(1)
-	st.RegReads(0, 6)
-	st.OpDone(0, OpScan)
-	sum := st.Snapshot()
-	if sum.Hist[2] != 1 {
-		t.Fatalf("hist = %v, want one op in bucket 2", sum.Hist)
-	}
-}
-
 func TestMultiAndNop(t *testing.T) {
 	a, b := NewStats(1), NewStats(1)
 	m := Multi(nil, a, nil, b)
@@ -161,7 +139,7 @@ func TestSummaryJSONStable(t *testing.T) {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"slots", "reads", "writes", "ops", "hist", "per_slot"} {
+	for _, key := range []string{"slots", "reads", "writes", "ops", "per_slot"} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("summary JSON missing %q: %s", key, raw)
 		}

@@ -47,7 +47,7 @@ type recSlot struct {
 	_ [40]byte // keep neighbouring slots off this cache line
 }
 
-// Recorder is the wait-free flight recorder: a SpanProbe that keeps,
+// Recorder is the wait-free flight recorder: a Probe that keeps,
 // per process slot, a fixed-capacity ring of timestamped records — op
 // begins and ends (with the op's measured register reads/writes),
 // and structural events. The hot path is a handful of atomic stores
@@ -144,7 +144,7 @@ func (r *Recorder) Event(slot int, e Event) {
 	r.record(&r.slots[slot], SpanEvent, uint8(e), 0)
 }
 
-// OpBegin implements SpanProbe: it marks the slot's access totals and
+// OpBegin implements Probe: it marks the slot's access totals and
 // records the begin edge.
 func (r *Recorder) OpBegin(slot int, op Op) {
 	sl := &r.slots[slot]
@@ -162,7 +162,7 @@ func (r *Recorder) OpDone(slot int, op Op) {
 	r.record(sl, SpanEnd, uint8(op), satDelta(dr)<<auxDeltaBits|satDelta(dw))
 }
 
-// EpochBegin implements EpochProbe: it records the begin edge of the
+// EpochBegin implements Probe: it records the begin edge of the
 // slot's truncation-epoch participation interval. Unlike OpBegin it
 // leaves the slot's access marks alone — the interval spans whole
 // operations, and its edges may fall inside an enclosing batch span
@@ -171,11 +171,15 @@ func (r *Recorder) EpochBegin(slot int) {
 	r.record(&r.slots[slot], SpanBegin, uint8(OpTruncEpoch), 0)
 }
 
-// EpochEnd implements EpochProbe: the matching end edge, with zero
+// EpochEnd implements Probe: the matching end edge, with zero
 // access deltas (the coordinator performs no shared accesses).
 func (r *Recorder) EpochEnd(slot int) {
 	r.record(&r.slots[slot], SpanEnd, uint8(OpTruncEpoch), 0)
 }
+
+// BatchDone implements Probe as a no-op: the batch itself is the
+// OpBatch span, and its size distribution is serve's telemetry.
+func (r *Recorder) BatchDone(int, int) {}
 
 // SlotSpans decodes slot's surviving ring records in recording order.
 // It is safe to call while the slot is still recording: records the

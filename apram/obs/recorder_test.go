@@ -187,9 +187,9 @@ func TestSpansJSONLRoundTrip(t *testing.T) {
 }
 
 // TestOpBeginForwarding pins how the begin edge flows through the probe
-// combinators: Multi forwards it to SpanProbe members only, Trace
-// surfaces it as a KindBegin record, the nop probe swallows it, and
-// Begin on a non-SpanProbe (Stats) is a no-op rather than a panic.
+// combinators: Multi forwards it to every member, Trace surfaces it as
+// a KindBegin record, the nop probe swallows it, and OpBegin on Stats
+// (which counts only the cost model) is a no-op rather than a panic.
 func TestOpBeginForwarding(t *testing.T) {
 	rec := NewRecorder(1)
 	st := NewStats(1)
@@ -197,7 +197,7 @@ func TestOpBeginForwarding(t *testing.T) {
 	tr := Trace(func(r Record) { traced = append(traced, r) })
 
 	m := Multi(st, rec, tr)
-	Begin(m, 0, OpScan)
+	m.OpBegin(0, OpScan)
 	m.OpDone(0, OpScan)
 
 	if got := rec.Spans(); len(got) != 2 || got[0].Kind != SpanBegin {
@@ -212,8 +212,8 @@ func TestOpBeginForwarding(t *testing.T) {
 	if KindBegin.String() != "begin" {
 		t.Fatalf("KindBegin renders %q", KindBegin)
 	}
-	Begin(Nop, 0, OpScan) // must not panic
-	Begin(st, 0, OpScan)  // Stats is not a SpanProbe: no-op
+	Nop.OpBegin(0, OpScan) // must not panic
+	st.OpBegin(0, OpScan)  // Stats ignores span edges: no-op
 	if st.Ops(OpScan) != 1 {
 		t.Fatal("Begin on Stats changed counters")
 	}

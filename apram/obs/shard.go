@@ -6,19 +6,12 @@ package obs
 // callbacks land on slots [i·n, (i+1)·n) of the shared probe — a shard
 // axis encoded in the slot space, which keeps the single-writer
 // discipline intact (each underlying slot still has exactly one
-// driving goroutine) and lets Stats/Recorder work unchanged.
-//
-// The wrapper forwards the optional extensions (SpanProbe, BatchProbe,
-// GaugeProbe) through the same conditional helpers objects use, so an
-// extension reaches the wrapped probe exactly when that probe
-// implements it. Wrapping nil returns nil, preserving the objects'
-// nil-probe fast path; wrapping a Shard composes the offsets.
+// driving goroutine) and lets Stats/Recorder work unchanged. Wrapping
+// nil returns nil, preserving the objects' nil-probe fast path;
+// wrapping a Shard adds the offsets.
 func Shard(p Probe, offset int) Probe {
 	if p == nil {
 		return nil
-	}
-	if sp, ok := p.(*shardProbe); ok {
-		return &shardProbe{inner: sp.inner, off: sp.off + offset}
 	}
 	return &shardProbe{inner: p, off: offset}
 }
@@ -28,26 +21,11 @@ type shardProbe struct {
 	off   int
 }
 
-func (s *shardProbe) RegReads(slot, n int)  { s.inner.RegReads(slot+s.off, n) }
-func (s *shardProbe) RegWrites(slot, n int) { s.inner.RegWrites(slot+s.off, n) }
-func (s *shardProbe) Event(slot int, e Event) {
-	s.inner.Event(slot+s.off, e)
-}
-func (s *shardProbe) OpDone(slot int, op Op) { s.inner.OpDone(slot+s.off, op) }
-
-// OpBegin implements SpanProbe; it reaches the wrapped probe only when
-// that probe is itself a SpanProbe.
-func (s *shardProbe) OpBegin(slot int, op Op) { Begin(s.inner, slot+s.off, op) }
-
-// BatchDone implements BatchProbe with the same pass-through contract.
-func (s *shardProbe) BatchDone(slot, size int) { BatchDone(s.inner, slot+s.off, size) }
-
-// GaugeSet implements GaugeProbe with the same pass-through contract.
-func (s *shardProbe) GaugeSet(slot int, g Gauge, v uint64) {
-	GaugeSet(s.inner, slot+s.off, g, v)
-}
-
-// EpochBegin and EpochEnd implement EpochProbe with the same
-// pass-through contract.
-func (s *shardProbe) EpochBegin(slot int) { EpochBegin(s.inner, slot+s.off) }
-func (s *shardProbe) EpochEnd(slot int)   { EpochEnd(s.inner, slot+s.off) }
+func (s *shardProbe) RegReads(slot, n int)     { s.inner.RegReads(slot+s.off, n) }
+func (s *shardProbe) RegWrites(slot, n int)    { s.inner.RegWrites(slot+s.off, n) }
+func (s *shardProbe) Event(slot int, e Event)  { s.inner.Event(slot+s.off, e) }
+func (s *shardProbe) OpBegin(slot int, op Op)  { s.inner.OpBegin(slot+s.off, op) }
+func (s *shardProbe) OpDone(slot int, op Op)   { s.inner.OpDone(slot+s.off, op) }
+func (s *shardProbe) BatchDone(slot, size int) { s.inner.BatchDone(slot+s.off, size) }
+func (s *shardProbe) EpochBegin(slot int)      { s.inner.EpochBegin(slot + s.off) }
+func (s *shardProbe) EpochEnd(slot int)        { s.inner.EpochEnd(slot + s.off) }

@@ -28,8 +28,8 @@ func TestShardUnevenSlotRanges(t *testing.T) {
 		for s := 0; s < sizes[i]; s++ {
 			v.RegReads(s, (i+1)*100+s)
 			v.OpDone(s, OpExecute)
-			EpochBegin(v, s)
-			EpochEnd(v, s)
+			v.EpochBegin(s)
+			v.EpochEnd(s)
 		}
 	}
 	sum := st.Snapshot()
@@ -67,14 +67,14 @@ func TestMultiFanOutConcurrent(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				Begin(m, p, OpExecute)
+				m.OpBegin(p, OpExecute)
 				m.RegReads(p, 2)
 				m.RegWrites(p, 1)
 				m.OpDone(p, OpExecute)
 				if i%100 == 0 {
 					m.Event(p, EvPublish)
-					EpochBegin(m, p)
-					EpochEnd(m, p)
+					m.EpochBegin(p)
+					m.EpochEnd(p)
 				}
 			}
 		}(p)

@@ -2,9 +2,9 @@ package obs
 
 import "testing"
 
-// TestShardOffsetsSlots: the wrapper lands every callback — core
-// methods and optional extensions alike — on the shifted slot of the
-// wrapped probe, composes offsets, and keeps the nil fast path.
+// TestShardOffsetsSlots: the wrapper lands every callback on the
+// shifted slot of the wrapped probe, composes offsets, and keeps the
+// nil fast path.
 func TestShardOffsetsSlots(t *testing.T) {
 	st := NewStats(6)
 	p := Shard(st, 2)
@@ -12,9 +12,6 @@ func TestShardOffsetsSlots(t *testing.T) {
 	p.RegWrites(1, 4)
 	p.Event(0, EvPublish)
 	p.OpDone(1, OpExecute)
-	Begin(p, 0, OpExecute)
-	BatchDone(p, 1, 5)
-	GaugeSet(p, 0, GaugeRetained, 7)
 	sum := st.Snapshot()
 	if got := sum.PerSlot[2].Reads; got != 3 {
 		t.Fatalf("slot 2 reads %d, want 3", got)
@@ -30,19 +27,28 @@ func TestShardOffsetsSlots(t *testing.T) {
 			t.Fatalf("unshifted slot %d touched: %+v", slot, s)
 		}
 	}
-	if got := st.Gauge(GaugeRetained); got != 7 {
-		t.Fatalf("gauge via wrapper %d, want 7", got)
+
+	// The span, batch and epoch callbacks shift the same way.
+	var traced []Record
+	tp := Shard(Trace(func(r Record) { traced = append(traced, r) }), 2)
+	tp.OpBegin(0, OpExecute)
+	tp.BatchDone(1, 5)
+	tp.EpochBegin(0)
+	tp.EpochEnd(1)
+	if len(traced) != 4 || traced[1].Kind != KindBatch || traced[1].N != 5 {
+		t.Fatalf("traced %+v, want begin, batch of 5, epoch begin, epoch end", traced)
+	}
+	for i, r := range traced {
+		if want := 2 + i%2; r.Slot != want {
+			t.Fatalf("record %d on slot %d, want %d", i, r.Slot, want)
+		}
 	}
 
-	// Composition: Shard(Shard(st, 2), 2) shifts by 4 total and keeps a
-	// single wrapper layer.
+	// Composition: Shard(Shard(st, 2), 2) shifts by 4 total.
 	pp := Shard(p, 2)
 	pp.RegReads(0, 9)
 	if got := st.Snapshot().PerSlot[4].Reads; got != 9 {
 		t.Fatalf("composed offset: slot 4 reads %d, want 9", got)
-	}
-	if inner := pp.(*shardProbe).inner; inner != Probe(st) {
-		t.Fatalf("composed wrapper did not flatten: inner %T", inner)
 	}
 
 	if Shard(nil, 3) != nil {

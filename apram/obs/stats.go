@@ -5,12 +5,6 @@ import (
 	"sync/atomic"
 )
 
-// HistBuckets is the number of power-of-two step buckets in the per-op
-// histograms: bucket b counts operations that took s register accesses
-// with 2^b ≤ s < 2^(b+1) (bucket 0 additionally holds s = 0). Bucket
-// HistBuckets−1 absorbs everything larger.
-const HistBuckets = 20
-
 // slotStats is one process slot's counter block. Only operations
 // performed by the slot increment it — the probe contract mirrors the
 // registers' single-writer discipline — so increments never contend;
@@ -23,14 +17,6 @@ type slotStats struct {
 	events [NumEvents]atomic.Uint64
 	ops    [NumOps]atomic.Uint64
 	steps  [NumOps]atomic.Uint64 // register accesses attributed to each op kind
-	hist   [HistBuckets]atomic.Uint64
-
-	// batches/batched/bhist record the apram/serve layer's composed
-	// batches: how many completed, how many logical client operations
-	// they carried in total, and the size distribution.
-	batches atomic.Uint64
-	batched atomic.Uint64
-	bhist   [HistBuckets]atomic.Uint64
 
 	// mark is the slot's access total at its previous OpDone. It is
 	// touched only by the slot's own goroutine (never by aggregation),
@@ -40,16 +26,13 @@ type slotStats struct {
 	_ [48]byte // round the block away from the next slot's hot fields
 }
 
-// Stats is the lock-free Probe implementation: per-slot single-writer
-// counter blocks, aggregated by a snapshot-style read-only sweep. All
-// methods are wait-free. The zero value is unusable; call NewStats.
+// Stats is the lock-free cost-model Probe: per-slot single-writer
+// counters of register reads and writes, events, operations and the
+// steps attributed to them, aggregated by a snapshot-style read-only
+// sweep. All methods are wait-free. The zero value is unusable; call
+// NewStats.
 type Stats struct {
 	slots []slotStats
-
-	// gauges are object-global levels (GaugeProbe): the reporting slot
-	// observes the whole object's level, so the latest write wins
-	// rather than summing per slot.
-	gauges [NumGauges]atomic.Uint64
 }
 
 // NewStats returns a Stats for objects with n process slots. Callbacks
@@ -90,56 +73,15 @@ func (s *Stats) OpDone(slot int, op Op) {
 	sl.mark = total
 	sl.ops[op].Add(1)
 	sl.steps[op].Add(steps)
-	sl.hist[bucket(steps)].Add(1)
 }
 
-// BatchDone records one completed serve batch of the given size,
-// making Stats a BatchProbe.
-func (s *Stats) BatchDone(slot, size int) {
-	sl := s.slot(slot)
-	sl.batches.Add(1)
-	sl.batched.Add(uint64(size))
-	sl.bhist[bucket(uint64(size))].Add(1)
-}
-
-// GaugeSet records a level observation, making Stats a GaugeProbe.
-// Gauges are object-global: the latest observation wins.
-func (s *Stats) GaugeSet(slot int, g Gauge, v uint64) {
-	s.slot(slot) // range-check the reporting slot like every callback
-	s.gauges[g].Store(v)
-}
-
-// Gauge returns the latest observation of g (zero if never set).
-func (s *Stats) Gauge(g Gauge) uint64 { return s.gauges[g].Load() }
-
-// Batches returns the aggregate completed-batch count.
-func (s *Stats) Batches() uint64 {
-	var t uint64
-	for i := range s.slots {
-		t += s.slots[i].batches.Load()
-	}
-	return t
-}
-
-// BatchedOps returns the aggregate count of logical operations
-// delivered through batches.
-func (s *Stats) BatchedOps() uint64 {
-	var t uint64
-	for i := range s.slots {
-		t += s.slots[i].batched.Load()
-	}
-	return t
-}
-
-// bucket maps a step count to its power-of-two histogram bucket.
-func bucket(steps uint64) int {
-	b := 0
-	for steps > 1 && b < HistBuckets-1 {
-		steps >>= 1
-		b++
-	}
-	return b
-}
+// OpBegin, BatchDone, EpochBegin and EpochEnd are no-ops: span edges
+// and batch sizes are not register accesses. An OpBegin needs no mark
+// because OpDone attributes from the previous OpDone.
+func (s *Stats) OpBegin(int, Op)    {}
+func (s *Stats) BatchDone(int, int) {}
+func (s *Stats) EpochBegin(int)     {}
+func (s *Stats) EpochEnd(int)       {}
 
 // Reads returns the aggregate register read count across all slots.
 func (s *Stats) Reads() uint64 {
@@ -173,6 +115,12 @@ func (s *Stats) EventsBy(slot int, e Event) uint64 {
 	return s.slot(slot).events[e].Load()
 }
 
+// AccessesBy returns slot's register reads plus writes.
+func (s *Stats) AccessesBy(slot int) uint64 {
+	sl := s.slot(slot)
+	return sl.reads.Load() + sl.writes.Load()
+}
+
 // Events returns the aggregate occurrence count for e.
 func (s *Stats) Events(e Event) uint64 {
 	var t uint64
@@ -204,12 +152,6 @@ type SlotSummary struct {
 	// Events is the slot's occurrence count per event name (only
 	// events that occurred appear).
 	Events map[string]uint64 `json:"events,omitempty"`
-	// Hist is the slot's power-of-two steps-per-op histogram.
-	Hist []uint64 `json:"hist,omitempty"`
-	// Batches and BatchedOps are the slot's serve-batch totals (zero
-	// outside a serving layer).
-	Batches    uint64 `json:"batches,omitempty"`
-	BatchedOps uint64 `json:"batched_ops,omitempty"`
 }
 
 // Summary is a consistent-enough aggregation of a Stats: each counter
@@ -230,21 +172,6 @@ type Summary struct {
 	// Ops maps op name to its aggregate summary (only ops that
 	// completed appear).
 	Ops map[string]OpSummary `json:"ops,omitempty"`
-	// Hist is the aggregate power-of-two steps-per-op histogram.
-	Hist []uint64 `json:"hist"`
-	// Batches and BatchedOps count the apram/serve layer's completed
-	// batches and the logical client operations they carried;
-	// MeanBatch is their ratio and BatchHist the power-of-two
-	// batch-size distribution. All are zero/absent outside a serving
-	// layer.
-	Batches    uint64   `json:"batches,omitempty"`
-	BatchedOps uint64   `json:"batched_ops,omitempty"`
-	MeanBatch  float64  `json:"mean_batch,omitempty"`
-	BatchHist  []uint64 `json:"batch_hist,omitempty"`
-	// RetainedEntries is the latest GaugeRetained observation — the
-	// entry-graph footprint after the most recent truncation epoch
-	// (absent when the object never reported the gauge).
-	RetainedEntries uint64 `json:"retained_entries,omitempty"`
 	// PerSlot holds each slot's own totals; summing them reproduces
 	// the aggregate fields exactly.
 	PerSlot []SlotSummary `json:"per_slot"`
@@ -257,27 +184,13 @@ func (s *Stats) Snapshot() Summary {
 		Slots:  len(s.slots),
 		Events: map[string]uint64{},
 		Ops:    map[string]OpSummary{},
-		Hist:   make([]uint64, HistBuckets),
 	}
 	var opCount, opSteps [NumOps]uint64
-	var bhist [HistBuckets]uint64
 	for i := range s.slots {
 		sl := &s.slots[i]
-		ss := SlotSummary{
-			Slot:       i,
-			Reads:      sl.reads.Load(),
-			Writes:     sl.writes.Load(),
-			Hist:       make([]uint64, HistBuckets),
-			Batches:    sl.batches.Load(),
-			BatchedOps: sl.batched.Load(),
-		}
+		ss := SlotSummary{Slot: i, Reads: sl.reads.Load(), Writes: sl.writes.Load()}
 		sum.Reads += ss.Reads
 		sum.Writes += ss.Writes
-		sum.Batches += ss.Batches
-		sum.BatchedOps += ss.BatchedOps
-		for b := 0; b < HistBuckets; b++ {
-			bhist[b] += sl.bhist[b].Load()
-		}
 		for e := Event(0); e < NumEvents; e++ {
 			if c := sl.events[e].Load(); c > 0 {
 				sum.Events[e.String()] += c
@@ -297,10 +210,6 @@ func (s *Stats) Snapshot() Summary {
 				opSteps[op] += sl.steps[op].Load()
 			}
 		}
-		for b := 0; b < HistBuckets; b++ {
-			ss.Hist[b] = sl.hist[b].Load()
-			sum.Hist[b] += ss.Hist[b]
-		}
 		sum.PerSlot = append(sum.PerSlot, ss)
 	}
 	for op := Op(0); op < NumOps; op++ {
@@ -313,11 +222,6 @@ func (s *Stats) Snapshot() Summary {
 			MeanSteps: float64(opSteps[op]) / float64(opCount[op]),
 		}
 	}
-	if sum.Batches > 0 {
-		sum.MeanBatch = float64(sum.BatchedOps) / float64(sum.Batches)
-		sum.BatchHist = append([]uint64(nil), bhist[:]...)
-	}
-	sum.RetainedEntries = s.gauges[GaugeRetained].Load()
 	return sum
 }
 

@@ -26,8 +26,8 @@ type Probe = obs.Probe
 type Stats = obs.Stats
 
 // StatsSummary is a point-in-time aggregation of a Stats probe
-// (obs.Summary): totals, per-op breakdown, per-slot breakdown, and a
-// steps-per-op histogram, all JSON-marshalable.
+// (obs.Summary): totals, per-op breakdown and per-slot breakdown, all
+// JSON-marshalable.
 type StatsSummary = obs.Summary
 
 // OpSummary is one operation kind's row in a StatsSummary.
@@ -62,8 +62,7 @@ func NewRecorder(n int, opts ...obs.RecorderOption) *Recorder { return obs.NewRe
 func SummarizeSpans(spans []Span) []SpanOpSummary { return obs.SummarizeSpans(spans) }
 
 // Option configures an object at construction time; build them with
-// WithProbe, WithRecorder, WithSeed, WithName, WithBatchCap and
-// WithQueueDepth.
+// WithProbe, WithSeed, WithName, WithBatchCap and WithQueueDepth.
 type Option func(*Options)
 
 // Options is the resolved form of a constructor's trailing Option
@@ -71,8 +70,7 @@ type Option func(*Options)
 // apram/serve — can accept the same Option values the constructors
 // do; most callers never touch it.
 type Options struct {
-	// Probe is the observability callback, already composed with any
-	// WithRecorder recorders (nil when neither was given).
+	// Probe carries WithProbe (nil when unset).
 	Probe obs.Probe
 	// Name is the WithName label ("" when unset; Register substitutes
 	// a generated default).
@@ -102,19 +100,13 @@ type Options struct {
 	// Admission carries WithAdmission; the zero value is the blocking
 	// policy (Block). Only the serving layers consume it.
 	Admission Admission
-
-	recorders []obs.Probe
 }
 
-// ResolveOptions folds an Option list into its resolved Options,
-// composing WithProbe and WithRecorder values into a single Probe.
+// ResolveOptions folds an Option list into its resolved Options.
 func ResolveOptions(opts ...Option) Options {
 	var c Options
 	for _, o := range opts {
 		o(&c)
-	}
-	if len(c.recorders) > 0 {
-		c.Probe = obs.Multi(append([]obs.Probe{c.Probe}, c.recorders...)...)
 	}
 	return c
 }
@@ -127,25 +119,11 @@ func buildConfig(opts []Option) Options { return ResolveOptions(opts...) }
 // through every layer of the object — a Consensus reports the register
 // traffic of the adopt-commit snapshots and shared-coin counters
 // inside it. The probe must be wait-free; obs.NewStats is, and the
-// no-probe default costs one predictable branch per operation.
+// no-probe default costs one predictable branch per operation. To
+// attach several observers (a Stats and a Recorder, say), pass
+// obs.Multi(stats, rec).
 func WithProbe(p obs.Probe) Option {
 	return func(c *Options) { c.Probe = p }
-}
-
-// WithRecorder attaches a flight recorder (obs.NewRecorder) to the
-// constructed object, composing it with any WithProbe probe via
-// obs.Multi — so `WithProbe(stats), WithRecorder(rec)` wires both.
-// It exists because a Recorder is a Probe but obs.RecorderOption is
-// not an Option: the recorder must be constructed (sized for n, with
-// its own ring/clock options) before it can be attached, and this
-// keeps that two-step explicit while letting the attachment ride the
-// same option list as everything else.
-func WithRecorder(r *obs.Recorder) Option {
-	return func(c *Options) {
-		if r != nil {
-			c.recorders = append(c.recorders, r)
-		}
-	}
 }
 
 // WithSeed sets the seed for objects with local randomness (currently

@@ -122,13 +122,14 @@ func TestNameOfDoesNotRetainObjects(t *testing.T) {
 	t.Fatal("a dropped, registered object was never collected: the name registry keeps it alive")
 }
 
-// TestWithRecorderOption: a Recorder attached via WithRecorder (alone
-// or alongside a Stats probe) receives the object's span traffic.
-func TestWithRecorderOption(t *testing.T) {
+// TestRecorderViaWithProbe: a Recorder attached via WithProbe (alone
+// or composed with a Stats probe through obs.Multi) receives the
+// object's span traffic.
+func TestRecorderViaWithProbe(t *testing.T) {
 	const n = 2
 	rec := apram.NewRecorder(n)
 	st := apram.NewStats(n)
-	c := apram.NewCounter(n, apram.WithProbe(st), apram.WithRecorder(rec))
+	c := apram.NewCounter(n, apram.WithProbe(obs.Multi(st, rec)))
 	c.Inc(0, 5)
 	if got := c.Read(1); got != 5 {
 		t.Fatalf("Read = %d", got)
@@ -142,7 +143,7 @@ func TestWithRecorderOption(t *testing.T) {
 
 	// Recorder alone works too.
 	rec2 := apram.NewRecorder(n)
-	c2 := apram.NewCounter(n, apram.WithRecorder(rec2))
+	c2 := apram.NewCounter(n, apram.WithProbe(rec2))
 	c2.Inc(0, 1)
 	if spans := rec2.Spans(); len(spans) == 0 {
 		t.Fatal("lone recorder not wired")

@@ -541,9 +541,11 @@ func (sv *Server) drainClosed(q *slotQueue, pending []*request) {
 // execute publishes one composed batch on slot p and fans the inner
 // responses out. The batch span (OpBatch) brackets the underlying
 // object's own OpExecute span plus the fan-out; EvBatch marks the
-// flush and BatchDone feeds the batch-size distribution.
+// flush and BatchDone reports the batch's size.
 func (sv *Server) execute(p int, batch []*request, invs []spec.Inv) {
-	obs.Begin(sv.probe, p, obs.OpBatch)
+	if sv.probe != nil {
+		sv.probe.OpBegin(p, obs.OpBatch)
+	}
 	resp, err := sv.run(p, invs)
 	var now uint64
 	if sv.clock != nil {
@@ -572,7 +574,7 @@ func (sv *Server) execute(p int, batch []*request, invs []spec.Inv) {
 	}
 	if sv.probe != nil {
 		sv.probe.Event(p, obs.EvBatch)
-		obs.BatchDone(sv.probe, p, len(batch))
+		sv.probe.BatchDone(p, len(batch))
 		sv.probe.OpDone(p, obs.OpBatch)
 	}
 }

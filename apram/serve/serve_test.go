@@ -10,6 +10,7 @@ import (
 	"repro/apram"
 	"repro/apram/obs"
 	"repro/apram/serve"
+	"repro/apram/telemetry"
 	"repro/internal/spec"
 )
 
@@ -175,14 +176,17 @@ func TestContextCancellation(t *testing.T) {
 }
 
 // TestObsIntegration: a Stats probe on the server observes batch
-// spans, the batch-flush event, and a batch-size distribution; a run
-// of pure reads rides the universal construction's elision (no
-// register writes for the read phase).
+// spans and one batch-flush event per batch, the telemetry batch-size
+// distribution counts the same batches, and a run of pure reads rides
+// the universal construction's elision (no register writes for the
+// read phase).
 func TestObsIntegration(t *testing.T) {
 	const n = 2
 	st := apram.NewStats(n)
 	rec := apram.NewRecorder(n)
-	sv := serve.New(apram.CounterSpec{}, n, apram.WithProbe(st), apram.WithRecorder(rec))
+	reg := telemetry.NewRegistry()
+	sv := serve.New(apram.CounterSpec{}, n, apram.WithProbe(obs.Multi(st, rec)),
+		apram.WithTelemetry(reg), apram.WithName("obs"))
 	defer sv.Close()
 
 	for i := 0; i < 8; i++ {
@@ -196,17 +200,15 @@ func TestObsIntegration(t *testing.T) {
 	}
 
 	sum := st.Snapshot()
-	if sum.Batches == 0 || sum.BatchedOps < 16 {
-		t.Fatalf("batch accounting: %d batches, %d batched ops", sum.Batches, sum.BatchedOps)
+	bs := reg.Histogram("serve.obs.batch_size", n).Snapshot()
+	if bs.Count == 0 || bs.Sum != 16 {
+		t.Fatalf("batch accounting: %d batches, %d batched ops", bs.Count, bs.Sum)
 	}
-	if sum.MeanBatch < 1 || len(sum.BatchHist) != obs.HistBuckets {
-		t.Fatalf("batch distribution: mean %v, hist %v", sum.MeanBatch, sum.BatchHist)
+	if got := sum.Ops[obs.OpBatch.String()].Count; got != bs.Count {
+		t.Fatalf("%q op spans %d != batches %d: %v", obs.OpBatch, got, bs.Count, sum.Ops)
 	}
-	if _, ok := sum.Ops[obs.OpBatch.String()]; !ok {
-		t.Fatalf("no %q op spans recorded: %v", obs.OpBatch, sum.Ops)
-	}
-	if st.Events(obs.EvBatch) != sum.Batches {
-		t.Fatalf("EvBatch %d != batches %d", st.Events(obs.EvBatch), sum.Batches)
+	if st.Events(obs.EvBatch) != bs.Count {
+		t.Fatalf("EvBatch %d != batches %d", st.Events(obs.EvBatch), bs.Count)
 	}
 	if st.Events(obs.EvPureElide) == 0 {
 		t.Fatal("pure read batches were not elided")

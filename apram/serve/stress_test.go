@@ -7,6 +7,7 @@ import (
 
 	"repro/apram"
 	"repro/apram/serve"
+	"repro/apram/telemetry"
 )
 
 // TestStress256Clients: 256 client goroutines multiplexed onto n = 4
@@ -21,7 +22,9 @@ func TestStress256Clients(t *testing.T) {
 		rounds  = 24
 	)
 	st := apram.NewStats(n)
-	sv := serve.New(apram.CounterSpec{}, n, apram.WithProbe(st), apram.WithQueueDepth(64))
+	reg := telemetry.NewRegistry()
+	sv := serve.New(apram.CounterSpec{}, n, apram.WithProbe(st), apram.WithQueueDepth(64),
+		apram.WithTelemetry(reg), apram.WithName("stress"))
 
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
@@ -72,13 +75,15 @@ func TestStress256Clients(t *testing.T) {
 	sv.Close()
 
 	sum := st.Snapshot()
-	if sum.BatchedOps != clients*rounds+1 {
+	bs := reg.Histogram("serve.stress.batch_size", n).Snapshot()
+	if bs.Sum != clients*rounds+1 {
 		t.Fatalf("batched ops = %d, want %d (every logical op exactly once)",
-			sum.BatchedOps, clients*rounds+1)
+			bs.Sum, clients*rounds+1)
 	}
-	if sum.MeanBatch <= 1 {
-		t.Logf("warning: mean batch %.2f — no composition observed under load", sum.MeanBatch)
+	mean := float64(bs.Sum) / float64(bs.Count)
+	if mean <= 1 {
+		t.Logf("warning: mean batch %.2f — no composition observed under load", mean)
 	}
 	t.Logf("%d logical ops in %d batches (mean %.1f), %d reads, %d writes",
-		sum.BatchedOps, sum.Batches, sum.MeanBatch, sum.Reads, sum.Writes)
+		bs.Sum, bs.Count, mean, sum.Reads, sum.Writes)
 }

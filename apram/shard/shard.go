@@ -201,9 +201,8 @@ func New(s apram.Spec, n int, opts ...apram.Option) *Server {
 }
 
 // shardOptions rebuilds shard i's option list from the resolved
-// options rather than forwarding the caller's list: the resolved Probe
-// already composes WithProbe and WithRecorder values, so wrapping it
-// once in obs.Shard shifts everything exactly once.
+// options rather than forwarding the caller's list, so the resolved
+// Probe is wrapped once in obs.Shard and shifted exactly once.
 func (sv *Server) shardOptions(ro apram.Options, i int) []apram.Option {
 	opts := []apram.Option{
 		apram.WithBatchCap(ro.BatchCap),

@@ -105,8 +105,8 @@ func RunNative(m *NativeMem, machines []Machine) error { return native.Run(m, ma
 // (nanoseconds from a single monotonic epoch) for machines that
 // implement Progress, and reporting op begin/done to probe (which may
 // be nil) under op. Pair it with an obs.Recorder using
-// obs.WithMonotonicClock to capture native latency distributions —
-// experiment E18's measurement path.
+// obs.WithClock(obs.MonotonicClock()) to capture native latency
+// distributions — experiment E18's measurement path.
 func RunNativeTimed(m *NativeMem, machines []Machine, probe obs.Probe, op obs.Op) ([]OpSpan, error) {
 	return native.RunTimed(m, machines, probe, op)
 }

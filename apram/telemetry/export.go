@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bufio"
+	"encoding/json"
 	"expvar"
 	"fmt"
 	"io"
@@ -63,6 +64,14 @@ func WritePrometheus(w io.Writer, s Sample) error {
 	return bw.Flush()
 }
 
+// jsonName renders a metric name as a JSON string literal. Names carry
+// caller-chosen labels (tenants, object names), so Go's %q quoting,
+// which is not JSON for control bytes or invalid UTF-8, will not do.
+func jsonName(name string) []byte {
+	b, _ := json.Marshal(name) // a string always marshals
+	return b
+}
+
 // WriteJSONL appends the sample as one JSON line: the time-series
 // format aprambench and the SLO gate archive. Emission is by hand over
 // the sample's sorted sections, so the line is a pure function of the
@@ -76,7 +85,7 @@ func WriteJSONL(w io.Writer, s Sample) error {
 			if i > 0 {
 				bw.WriteByte(',')
 			}
-			fmt.Fprintf(bw, "%q:%d", c.Name, c.Value)
+			fmt.Fprintf(bw, "%s:%d", jsonName(c.Name), c.Value)
 		}
 		bw.WriteByte('}')
 	}
@@ -86,7 +95,7 @@ func WriteJSONL(w io.Writer, s Sample) error {
 			if i > 0 {
 				bw.WriteByte(',')
 			}
-			fmt.Fprintf(bw, "%q:%d", g.Name, g.Value)
+			fmt.Fprintf(bw, "%s:%d", jsonName(g.Name), g.Value)
 		}
 		bw.WriteByte('}')
 	}
@@ -96,8 +105,8 @@ func WriteJSONL(w io.Writer, s Sample) error {
 			if i > 0 {
 				bw.WriteByte(',')
 			}
-			fmt.Fprintf(bw, `%q:{"count":%d,"sum":%d,"max":%d,"p50":%d,"p99":%d,"p999":%d}`,
-				h.Name, h.Count, h.Sum, h.Max, h.P50, h.P99, h.P999)
+			fmt.Fprintf(bw, `%s:{"count":%d,"sum":%d,"max":%d,"p50":%d,"p99":%d,"p999":%d}`,
+				jsonName(h.Name), h.Count, h.Sum, h.Max, h.P50, h.P99, h.P999)
 		}
 		bw.WriteByte('}')
 	}

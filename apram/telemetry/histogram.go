@@ -1,7 +1,13 @@
 // Package telemetry is the live metrics pipeline over the wait-free
-// structures: a lock-free latency histogram, a registry of named
-// metrics the serving layers feed, and snapshot exporters (Prometheus
-// text exposition, expvar, byte-deterministic JSONL time series).
+// structures: a lock-free histogram, a registry of named metrics the
+// serving layers feed, and snapshot exporters (Prometheus text
+// exposition, expvar, byte-deterministic JSONL time series).
+//
+// It is the half of the observability plane that owns distributions,
+// levels and clocks: latency and batch-size histograms, pull-style
+// gauges (GaugeFunc) and the sample clock (Registry.SetClock). Package
+// obs keeps the other half, the counts the paper's cost model charges
+// and the span edges.
 //
 // The design constraint is the same one package obs states: nothing on
 // a recording path may block, or the telemetry revokes the very
@@ -12,11 +18,12 @@
 // is a handful of uncontended atomic adds with no allocation, and an
 // exporter scraping concurrently never makes a recorder wait.
 //
-// Timestamps come from the registry's clock. Native-backend callers
-// use wall-clock nanoseconds (obs.MonotonicClock); the simulated
-// backend passes its deterministic step counter instead, which makes
-// an exported JSONL series a pure function of the schedule — the same
-// determinism guarantee obs.Recorder gives for span traces.
+// Timestamps come from the registry's clock: wall-clock nanoseconds
+// (obs.MonotonicClock) by default, or, once the serving layers call
+// SetClock on the simulated backend, its deterministic step counter,
+// which makes an exported JSONL series a pure function of the
+// schedule — the same determinism guarantee obs.Recorder gives for
+// span traces.
 package telemetry
 
 import (

@@ -11,7 +11,8 @@ import (
 )
 
 func TestHandlerEndpoints(t *testing.T) {
-	r := NewRegistry(WithClock(func() uint64 { return 5 }))
+	r := NewRegistry()
+	r.SetClock(func() uint64 { return 5 })
 	r.Counter("serve.obj.ops").Add(4)
 	r.Histogram("serve.obj.op_latency", 1).Record(0, 99)
 	ts := httptest.NewServer(r.Handler())
@@ -73,7 +74,8 @@ func TestServeListener(t *testing.T) {
 }
 
 func TestPublishExpvar(t *testing.T) {
-	r := NewRegistry(WithClock(func() uint64 { return 8 }))
+	r := NewRegistry()
+	r.SetClock(func() uint64 { return 8 })
 	r.Counter("reqs").Add(2)
 	PublishExpvar("telemetry_test_registry", r)
 	v := expvar.Get("telemetry_test_registry")

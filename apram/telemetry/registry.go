@@ -22,67 +22,38 @@ func (c *Counter) Add(d uint64) { c.v.Add(d) }
 // Value returns the current total.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a settable level: latest write wins, mirroring
-// obs.Stats' gauge semantics.
-type Gauge struct {
-	v atomic.Uint64
-}
-
-// Set stores the level.
-func (g *Gauge) Set(v uint64) { g.v.Store(v) }
-
-// Value returns the latest level.
-func (g *Gauge) Value() uint64 { return g.v.Load() }
-
-// RegistryOption configures a Registry at construction time.
-type RegistryOption func(*Registry)
-
-// WithClock replaces the registry's sample timestamp source. The
-// default is wall-clock nanoseconds since the registry was built
-// (obs.MonotonicClock); sim-backend callers pass the substrate's
-// deterministic step counter instead, which makes exported JSONL
-// series byte-identical across identical runs.
-func WithClock(clock func() uint64) RegistryOption {
-	return func(r *Registry) { r.clock = clock }
-}
-
 // Registry is a name-keyed set of live metrics the serving layers
-// register into. Registration (Counter/Gauge/GaugeFunc/Histogram)
-// happens at construction time under a mutex; the returned metric
-// objects are what the hot paths touch, and every one of their write
-// paths is wait-free. Snapshot walks the registry read-locked — the
-// export path, never an operation path.
+// register into. Registration (Counter/GaugeFunc/Histogram) happens at
+// construction time under a mutex; the returned metric objects are
+// what the hot paths touch, and every one of their write paths is
+// wait-free. Snapshot walks the registry read-locked — the export
+// path, never an operation path.
 type Registry struct {
 	clock func() uint64
 
 	mu       sync.RWMutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	funcs    map[string]func() uint64
 	hists    map[string]*Histogram
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry(opts ...RegistryOption) *Registry {
-	r := &Registry{
+// NewRegistry returns an empty registry whose clock is wall-clock
+// nanoseconds since the registry was built (obs.MonotonicClock).
+func NewRegistry() *Registry {
+	return &Registry{
+		clock:    obs.MonotonicClock(),
 		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
 		funcs:    map[string]func() uint64{},
 		hists:    map[string]*Histogram{},
 	}
-	for _, opt := range opts {
-		opt(r)
-	}
-	if r.clock == nil {
-		r.clock = obs.MonotonicClock()
-	}
-	return r
 }
 
-// SetClock replaces the timestamp source after construction — the
-// serving layers call it when they learn the object's backend (the
-// sim substrate's step counter only exists once the object does).
-// Call before the registry is scraped.
+// SetClock replaces the sample timestamp source. The serving layers
+// call it when they learn the object's backend: on the simulated
+// backend they pass the substrate's deterministic step counter (which
+// only exists once the object does), which makes exported JSONL series
+// byte-identical across identical runs. Call before the registry is
+// scraped.
 func (r *Registry) SetClock(clock func() uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -111,20 +82,8 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// GaugeFunc registers a pull-style gauge: f is called at snapshot
-// time, on the export path. It must be safe for concurrent use and
+// GaugeFunc registers a gauge, the registry's one kind of level: f is
+// called at snapshot time, on the export path. It must be safe for concurrent use and
 // must not block the slots it observes — reading atomics (queue
 // lengths, CrossStats counters, Retained) qualifies. Re-registering a
 // name replaces the function.
@@ -169,8 +128,8 @@ type NamedHist struct {
 type Sample struct {
 	// Time is the registry clock's reading when the sample was taken.
 	Time uint64 `json:"t"`
-	// Counters, Gauges (settable and pull-style merged) and Hists hold
-	// the metric readings, each sorted by name.
+	// Counters, Gauges and Hists hold the metric readings, each sorted
+	// by name.
 	Counters []NamedValue `json:"counters,omitempty"`
 	Gauges   []NamedValue `json:"gauges,omitempty"`
 	Hists    []NamedHist  `json:"hists,omitempty"`
@@ -185,9 +144,6 @@ func (r *Registry) Snapshot() Sample {
 	s := Sample{Time: r.clock()}
 	for name, c := range r.counters {
 		s.Counters = append(s.Counters, NamedValue{Name: name, Value: c.Value()})
-	}
-	for name, g := range r.gauges {
-		s.Gauges = append(s.Gauges, NamedValue{Name: name, Value: g.Value()})
 	}
 	for name, f := range r.funcs {
 		s.Gauges = append(s.Gauges, NamedValue{Name: name, Value: f()})

@@ -160,16 +160,17 @@ func TestHistogramConcurrentSnapshot(t *testing.T) {
 }
 
 // TestRegistrySnapshot pins the deterministic sample shape: sections
-// sorted by name regardless of registration order, pull-style gauges
-// merged with settable ones, get-or-create identity.
+// sorted by name regardless of registration order, get-or-create
+// identity.
 func TestRegistrySnapshot(t *testing.T) {
-	r := NewRegistry(WithClock(func() uint64 { return 42 }))
+	r := NewRegistry()
+	r.SetClock(func() uint64 { return 42 })
 	r.Counter("z.ops").Add(3)
 	r.Counter("a.ops").Add(1)
 	if r.Counter("z.ops") != r.Counter("z.ops") {
 		t.Fatal("Counter get-or-create returned distinct objects")
 	}
-	r.Gauge("m.depth").Set(7)
+	r.GaugeFunc("m.depth", func() uint64 { return 7 })
 	r.GaugeFunc("b.live", func() uint64 { return 11 })
 	r.Histogram("h.lat", 2).Record(0, 5)
 	if r.Histogram("h.lat", 2) != r.Histogram("h.lat", 1) {
@@ -188,7 +189,7 @@ func TestRegistrySnapshot(t *testing.T) {
 	wantG := []string{"b.live", "m.depth"}
 	for i, g := range s.Gauges {
 		if g.Name != wantG[i] {
-			t.Fatalf("gauges not sorted/merged: %v", s.Gauges)
+			t.Fatalf("gauges not sorted: %v", s.Gauges)
 		}
 	}
 	if len(s.Hists) != 1 || s.Hists[0].Count != 1 {
@@ -222,9 +223,10 @@ func TestPromName(t *testing.T) {
 // TestWritePrometheus pins the exposition format against a golden
 // string — the exporter's byte-determinism is the contract.
 func TestWritePrometheus(t *testing.T) {
-	r := NewRegistry(WithClock(func() uint64 { return 1 }))
+	r := NewRegistry()
+	r.SetClock(func() uint64 { return 1 })
 	r.Counter("serve.x.ops").Add(9)
-	r.Gauge("serve.x.queue_depth").Set(2)
+	r.GaugeFunc("serve.x.queue_depth", func() uint64 { return 2 })
 	h := r.Histogram("serve.x.op_latency", 1)
 	h.Record(0, 10)
 	h.Record(0, 20)
@@ -256,9 +258,10 @@ serve_x_op_latency_max 20
 func TestWriteJSONL(t *testing.T) {
 	build := func() *Registry {
 		tick := uint64(0)
-		r := NewRegistry(WithClock(func() uint64 { tick += 3; return tick }))
+		r := NewRegistry()
+		r.SetClock(func() uint64 { tick += 3; return tick })
 		r.Counter("c").Add(5)
-		r.Gauge("g").Set(6)
+		r.GaugeFunc("g", func() uint64 { return 6 })
 		r.Histogram("h", 2).Record(1, 100)
 		return r
 	}
@@ -284,6 +287,34 @@ func TestWriteJSONL(t *testing.T) {
 		if _, ok := doc[k]; !ok {
 			t.Errorf("line missing %q: %s", k, line)
 		}
+	}
+}
+
+// TestWriteJSONLEscapesNames: metric names carry caller-chosen labels
+// (an apramload tenant becomes serve.<name>.<tenant>.*), so the line
+// must stay valid JSON for names with control bytes or invalid UTF-8,
+// and decode back to the same names (invalid bytes as U+FFFD, the
+// encoding/json convention).
+func TestWriteJSONLEscapesNames(t *testing.T) {
+	r := NewRegistry()
+	r.SetClock(func() uint64 { return 1 })
+	r.Counter("a\vb").Add(1)
+	r.GaugeFunc("t\x01", func() uint64 { return 2 })
+	r.Histogram("\xff", 1).Record(0, 3)
+	var buf bytes.Buffer
+	if err := WriteJSONL(&buf, r.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Counters map[string]uint64         `json:"counters"`
+		Gauges   map[string]uint64         `json:"gauges"`
+		Hists    map[string]map[string]any `json:"hists"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("invalid JSON %q: %v", buf.String(), err)
+	}
+	if doc.Counters["a\vb"] != 1 || doc.Gauges["t\x01"] != 2 || doc.Hists["\ufffd"] == nil {
+		t.Fatalf("names did not round-trip: %+v", doc)
 	}
 }
 

@@ -12,9 +12,10 @@ import (
 // returns its address.
 func registryAddr(t *testing.T) string {
 	t.Helper()
-	reg := telemetry.NewRegistry(telemetry.WithClock(func() uint64 { return 77 }))
+	reg := telemetry.NewRegistry()
+	reg.SetClock(func() uint64 { return 77 })
 	reg.Counter("serve.obj.ops").Add(12)
-	reg.Gauge("serve.obj.queue_depth").Set(3)
+	reg.GaugeFunc("serve.obj.queue_depth", func() uint64 { return 3 })
 	h := reg.Histogram("serve.obj.op_latency", 1)
 	h.Record(0, 1500)
 	h.Record(0, 2500)
@@ -71,10 +72,11 @@ func TestUsageErrors(t *testing.T) {
 // serve- or shard-prefixed — carries the inline retention-backpressure
 // flag; zero lag and ordinary gauges stay unadorned.
 func TestGaugeNoteFlagsTruncationLag(t *testing.T) {
-	reg := telemetry.NewRegistry(telemetry.WithClock(func() uint64 { return 1 }))
-	reg.Gauge("serve.obj.trunc_lag_epochs").Set(2)
-	reg.Gauge("shard.obj.trunc_lag_epochs").Set(0)
-	reg.Gauge("serve.obj.queue_depth").Set(9)
+	reg := telemetry.NewRegistry()
+	reg.SetClock(func() uint64 { return 1 })
+	reg.GaugeFunc("serve.obj.trunc_lag_epochs", func() uint64 { return 2 })
+	reg.GaugeFunc("shard.obj.trunc_lag_epochs", func() uint64 { return 0 })
+	reg.GaugeFunc("serve.obj.queue_depth", func() uint64 { return 9 })
 	var out bytes.Buffer
 	render(&out, "x", reg.Snapshot())
 	got := out.String()

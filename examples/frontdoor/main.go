@@ -38,6 +38,7 @@ import (
 	"sync"
 
 	"repro/apram"
+	"repro/apram/obs"
 	"repro/apram/serve"
 	"repro/apram/workload"
 )
@@ -99,10 +100,11 @@ func main() {
 	sv.Close()
 
 	sum := st.Snapshot()
-	logical := sum.BatchedOps
+	logical := uint64(clients*opsEach + 1) // every client op plus the final read
+	batches := sum.Ops[obs.OpBatch.String()].Count
 	fmt.Printf("counter = %v (expected %d)\n", total, clients*opsEach*3/4)
 	fmt.Printf("%d logical ops served in %d batches (mean batch %.1f)\n",
-		logical, sum.Batches, sum.MeanBatch)
+		logical, batches, float64(logical)/float64(batches))
 	fmt.Printf("%d shared reads + %d shared writes = %.2f accesses per logical op\n",
 		sum.Reads, sum.Writes, float64(sum.Reads+sum.Writes)/float64(logical))
 	fmt.Printf("(a lone operation on a %d-slot object pays %d reads + %d writes)\n",

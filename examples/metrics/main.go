@@ -127,7 +127,7 @@ func main() {
 	// The telemetry registry's view of the same run, in the Prometheus
 	// text exposition format — what a scrape of Registry.Serve's
 	// /metrics endpoint would return.
-	reg.Gauge("metrics.flush_decision").Set(uint64(decision))
+	reg.GaugeFunc("metrics.flush_decision", func() uint64 { return uint64(decision) })
 	fmt.Println("\ntelemetry registry (Prometheus exposition):")
 	if err := telemetry.WritePrometheus(os.Stdout, reg.Snapshot()); err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -5,7 +5,9 @@
 // cache-line-separated counter block per process slot, each written
 // only by its own process (the same single-writer discipline the
 // paper's registers obey), so attaching one cannot introduce the very
-// blocking the data structures exist to avoid. This example:
+// blocking the data structures exist to avoid. Stats counts only what
+// the paper's cost model charges; the latency distribution and the
+// gauges below live in a telemetry registry. This example:
 //
 //   - attaches one Stats probe to a counter and a snapshot via the
 //     functional-options API (apram.WithProbe);

@@ -75,7 +75,7 @@ func (a *Native) Input(p int, x float64) {
 func (a *Native) Output(p int) float64 {
 	a.check(p)
 	if a.probe != nil {
-		obs.Begin(a.probe, p, obs.OpAgree)
+		a.probe.OpBegin(p, obs.OpAgree)
 	}
 	mine := a.regs[p].Load()
 	if !mine.Valid {

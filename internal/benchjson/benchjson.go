@@ -63,19 +63,9 @@ import (
 // a telemetry-instrumented pass) on the serving-layer native rows; v6
 // added the workload axis (the open-loop serve-open row and the
 // offered/goodput/shed/per-tenant-p99 columns; empty workload means
-// closed-loop). ReadJSON still accepts v1 through v5 documents: pre-v3
-// rows are normalized to deterministic native ones, pre-v4 rows (which
-// all ran unsharded) to shards 1, pre-v5 rows simply lack the optional
-// quantile fields, and pre-v6 rows — all closed-loop — lack the
-// workload axis, whose empty value means exactly that.
-const (
-	Schema   = "apram-bench/v6"
-	SchemaV5 = "apram-bench/v5"
-	SchemaV4 = "apram-bench/v4"
-	SchemaV3 = "apram-bench/v3"
-	SchemaV2 = "apram-bench/v2"
-	SchemaV1 = "apram-bench/v1"
-)
+// closed-loop). ReadJSON accepts only the current schema: Compare
+// could never gate a run against an older document anyway.
+const Schema = "apram-bench/v6"
 
 // The backend axis values of a Result row.
 const (
@@ -182,11 +172,12 @@ type Result struct {
 	P50Ns  uint64 `json:"p50_ns,omitempty"`
 	P99Ns  uint64 `json:"p99_ns,omitempty"`
 	P999Ns uint64 `json:"p999_ns,omitempty"`
-	// RetainedEntries is the final live entry-graph size from the
-	// counting pass's GaugeRetained gauge. Nonzero only for rows run
-	// with Config.TruncateEvery (aprambench -retain): it is the bound
-	// the checkpoint-and-truncate protocol maintains, so a growing
-	// value across reports is a leak even when ns/op looks fine.
+	// RetainedEntries is the final live entry-graph size of the
+	// counting pass's object (Object.Retained). Set only on the
+	// universal-construction rows run with Config.TruncateEvery
+	// (aprambench -retain): it is the bound the checkpoint-and-truncate
+	// protocol maintains, so a growing value across reports is a leak
+	// even when ns/op looks fine.
 	RetainedEntries uint64 `json:"retained_entries,omitempty"`
 	// Events are the structural event totals from the counting pass —
 	// since v2 the map is complete: every obs.Event name appears, with
@@ -326,8 +317,18 @@ var shardKeys = func() []string {
 
 func structures(truncEvery, shards int) []structure {
 	// openLoop captures the serve-open row's timing-pass workload result
-	// for its post hook; rows run sequentially, so one slot suffices.
+	// for its post hook, and counted (set by track) the universal object
+	// a row's counting pass built, whose final Retained() becomes the
+	// row's retained_entries under -retain. Rows run sequentially, so
+	// one slot each suffices.
 	var openLoop *workload.Result
+	var counted *apram.Object
+	track := func(u *apram.Object, probe obs.Probe) *apram.Object {
+		if probe != nil {
+			counted = u
+		}
+		return u
+	}
 	rows := []structure{
 		{
 			// One Scan per op: the Figure 5 optimized loop.
@@ -485,7 +486,7 @@ func structures(truncEvery, shards int) []structure {
 			name:    "uc-counter",
 			backend: BackendNative,
 			run: func(n, ops int, probe obs.Probe) time.Duration {
-				u := apram.NewObject(apram.CounterSpec{}, n, ucOptions(probe, truncEvery)...)
+				u := track(apram.NewObject(apram.CounterSpec{}, n, ucOptions(probe, truncEvery)...), probe)
 				return driveConcurrent(n, ops, func(p, i int) {
 					u.Execute(p, apram.Inc(1))
 				})
@@ -503,8 +504,8 @@ func structures(truncEvery, shards int) []structure {
 			paperReads:    func(n int) float64 { return 2 * scanReads(n) },
 			paperWrites:   func(n int) float64 { return 2 * scanWrites(n) },
 			run: func(n, ops int, probe obs.Probe) time.Duration {
-				u := apram.NewObject(apram.CounterSpec{}, n,
-					append(ucOptions(probe, truncEvery), apram.WithBackend(apram.Simulated(nil)))...)
+				u := track(apram.NewObject(apram.CounterSpec{}, n,
+					append(ucOptions(probe, truncEvery), apram.WithBackend(apram.Simulated(nil)))...), probe)
 				for i := 0; i < ops; i++ {
 					u.Execute(i%n, apram.Inc(1))
 				}
@@ -518,7 +519,7 @@ func structures(truncEvery, shards int) []structure {
 			name:    "uc-gset",
 			backend: BackendNative,
 			run: func(n, ops int, probe obs.Probe) time.Duration {
-				u := apram.NewObject(apram.GSetSpec{}, n, ucOptions(probe, truncEvery)...)
+				u := track(apram.NewObject(apram.GSetSpec{}, n, ucOptions(probe, truncEvery)...), probe)
 				return driveConcurrent(n, ops, func(p, i int) {
 					u.Execute(p, apram.Add(gsetElems[i%len(gsetElems)]))
 				})
@@ -532,8 +533,8 @@ func structures(truncEvery, shards int) []structure {
 			paperReads:    func(n int) float64 { return 2 * scanReads(n) },
 			paperWrites:   func(n int) float64 { return 2 * scanWrites(n) },
 			run: func(n, ops int, probe obs.Probe) time.Duration {
-				u := apram.NewObject(apram.GSetSpec{}, n,
-					append(ucOptions(probe, truncEvery), apram.WithBackend(apram.Simulated(nil)))...)
+				u := track(apram.NewObject(apram.GSetSpec{}, n,
+					append(ucOptions(probe, truncEvery), apram.WithBackend(apram.Simulated(nil)))...), probe)
 				for i := 0; i < ops; i++ {
 					u.Execute(i%n, apram.Add(gsetElems[i%len(gsetElems)]))
 				}
@@ -551,6 +552,7 @@ func structures(truncEvery, shards int) []structure {
 			run: func(n, ops int, probe obs.Probe) time.Duration {
 				sv := serve.New(apram.CounterSpec{}, n, ucOptions(probe, truncEvery)...)
 				defer sv.Close()
+				track(sv.Object(), probe)
 				return driveConcurrent(2*n, ops, func(c, i int) {
 					sv.Do(context.Background(), apram.Inc(1))
 				})
@@ -578,6 +580,7 @@ func structures(truncEvery, shards int) []structure {
 				sv := serve.New(apram.CounterSpec{}, n,
 					append(ucOptions(probe, truncEvery), apram.WithBackend(apram.Simulated(nil)))...)
 				defer sv.Close()
+				track(sv.Object(), probe)
 				for done := 0; done < ops; done++ {
 					sv.Do(context.Background(), apram.Inc(1))
 				}
@@ -600,6 +603,7 @@ func structures(truncEvery, shards int) []structure {
 			run: func(n, ops int, probe obs.Probe) time.Duration {
 				sv := serve.New(apram.KCounterSpec{}, n, ucOptions(probe, truncEvery)...)
 				defer sv.Close()
+				track(sv.Object(), probe)
 				profiles := []workload.Profile{{
 					Tenant:   "load",
 					Arrivals: workload.Poisson(20000),
@@ -724,6 +728,17 @@ func structures(truncEvery, shards int) []structure {
 		}
 		if rows[i].shards == 0 {
 			rows[i].shards = 1
+		}
+		if post := rows[i].post; truncEvery > 0 {
+			rows[i].post = func(r *Result) {
+				if counted != nil {
+					r.RetainedEntries = uint64(counted.Retained())
+					counted = nil
+				}
+				if post != nil {
+					post(r)
+				}
+			}
 		}
 	}
 	return rows
@@ -884,7 +899,6 @@ func measure(s structure, n, ops int, trace bool) (Result, []obs.Span) {
 	if s.paperWrites != nil {
 		res.PaperWritesPerOp = s.paperWrites(n)
 	}
-	res.RetainedEntries = sum.RetainedEntries
 	res.Events = make(map[string]uint64, obs.NumEvents)
 	for e := obs.Event(0); e < obs.NumEvents; e++ {
 		res.Events[e.String()] = st.Events(e)
@@ -915,10 +929,9 @@ func (r *Report) WriteJSON(w io.Writer) error {
 // compared against a sim row, whose numbers measure a different
 // substrate, a sharded row is never compared across shard counts, and
 // an open-loop row is never compared against a closed-loop one (an
-// empty workload and the literal "closed" both mean closed-loop, so
-// pre-v6 rows match their v6 re-runs). For every
-// selected row (all of base's when structures is nil; a name selects
-// its rows on every backend) it flags
+// empty workload and the literal "closed" both mean closed-loop). For
+// every selected row (all of base's when structures is nil; a name
+// selects its rows on every backend) it flags
 //
 //   - a ns/op regression beyond the tolerance factor (e.g. 2 = fail
 //     when the current run is more than twice as slow) — rows with
@@ -954,7 +967,7 @@ func Compare(base, cur *Report, tolerance float64, structures []string) []string
 	}
 	shardsOf := func(s Result) int {
 		if s.Shards <= 0 {
-			return 1 // pre-v4 rows and handcrafted reports: unsharded
+			return 1 // handcrafted reports: unsharded
 		}
 		return s.Shards
 	}
@@ -1023,37 +1036,14 @@ func Compare(base, cur *Report, tolerance float64, structures []string) []string
 }
 
 // ReadJSON parses a report written by WriteJSON and validates its
-// schema tag. The current schema plus v1 through v5 are accepted — old
-// baselines stay readable. Pre-v3 rows predate the backend axis; they
-// were all sequential native measurements, so they are normalized to
-// Backend "native", Deterministic true. Pre-v4 rows predate the shards
-// axis and all ran unsharded, so they are normalized to Shards 1. Both
-// normalizations preserve the rows' gate semantics under the keyed
-// Compare. Pre-v5 rows simply lack the optional latency quantiles,
-// which no gate reads, and pre-v6 rows — all closed-loop — lack the
-// workload axis, whose empty value already means closed-loop.
+// schema tag, which must be the current Schema.
 func ReadJSON(r io.Reader) (*Report, error) {
 	var rep Report
 	if err := json.NewDecoder(r).Decode(&rep); err != nil {
 		return nil, fmt.Errorf("benchjson: parse: %w", err)
 	}
-	switch rep.Schema {
-	case Schema, SchemaV5, SchemaV4, SchemaV3:
-	case SchemaV1, SchemaV2:
-		for i := range rep.Structures {
-			rep.Structures[i].Backend = BackendNative
-			rep.Structures[i].Deterministic = true
-		}
-	default:
-		return nil, fmt.Errorf("benchjson: schema %q, want %q, %q, %q, %q, %q or %q",
-			rep.Schema, Schema, SchemaV5, SchemaV4, SchemaV3, SchemaV2, SchemaV1)
-	}
-	switch rep.Schema {
-	case SchemaV1, SchemaV2, SchemaV3:
-		rep.Shards = 1
-		for i := range rep.Structures {
-			rep.Structures[i].Shards = 1
-		}
+	if rep.Schema != Schema {
+		return nil, fmt.Errorf("benchjson: schema %q, want %q", rep.Schema, Schema)
 	}
 	return &rep, nil
 }

@@ -3,8 +3,6 @@ package benchjson
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -174,8 +172,8 @@ func TestSimCountsMatchPaper(t *testing.T) {
 
 // TestCompareGate exercises the baseline-comparison gate: identical
 // reports pass, a beyond-tolerance ns/op regression fails, a
-// within-tolerance slowdown passes, and deterministic access-count
-// drift always fails.
+// within-tolerance slowdown passes, deterministic access-count drift
+// always fails, and an empty workload keys like the literal "closed".
 func TestCompareGate(t *testing.T) {
 	base := &Report{
 		Schema: Schema, NSlots: 8, OpsPerStructure: 2000,
@@ -226,6 +224,15 @@ func TestCompareGate(t *testing.T) {
 		!strings.Contains(got[0], "sim/uc-counter") {
 		t.Fatalf("cross-backend gate wrong: %v", got)
 	}
+	// An explicit "closed" workload keys identically to the empty one.
+	relabeled := clone(func(r *Report) {
+		for i := range r.Structures {
+			r.Structures[i].Workload = "closed"
+		}
+	})
+	if got := Compare(base, relabeled, 2, nil); len(got) != 0 {
+		t.Fatalf("explicit closed workload broke row matching: %v", got)
+	}
 	// Config mismatches refuse to compare rather than comparing junk.
 	wrongN := clone(func(r *Report) { r.NSlots = 4 })
 	if got := Compare(base, wrongN, 2, nil); len(got) != 1 {
@@ -245,229 +252,15 @@ func TestReadJSONRejectsBadSchema(t *testing.T) {
 	if _, err := ReadJSON(bytes.NewReader([]byte("{"))); err == nil {
 		t.Fatal("malformed JSON accepted")
 	}
-	if _, err := ReadJSON(bytes.NewReader([]byte(`{"schema":"apram-bench/v1"}`))); err != nil {
-		t.Fatalf("v1 schema rejected: %v", err)
-	}
-	if _, err := ReadJSON(bytes.NewReader([]byte(`{"schema":"apram-bench/v3"}`))); err != nil {
-		t.Fatalf("v3 schema rejected: %v", err)
-	}
-}
-
-// TestGoldenV1 keeps old baselines readable: the committed v1 document
-// parses, and comparing it against itself passes the gate (so a CI
-// fleet mid-upgrade can still gate on a v1 baseline).
-func TestGoldenV1(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "golden_v1.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := ReadJSON(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Schema != SchemaV1 {
-		t.Fatalf("golden schema %q, want %q", rep.Schema, SchemaV1)
-	}
-	if len(rep.Structures) == 0 {
-		t.Fatal("golden report has no structures")
-	}
-	if got := Compare(rep, rep, 2, nil); len(got) != 0 {
-		t.Fatalf("v1 self-comparison flagged: %v", got)
-	}
-}
-
-// TestGoldenV2 keeps v2 baselines readable across the v3 backend-axis
-// bump: the committed v2 document parses, its rows are normalized to
-// deterministic native ones (so the keyed Compare still applies the
-// exact-count gate it always had), and self-comparison passes.
-func TestGoldenV2(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "golden_v2.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := ReadJSON(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Schema != SchemaV2 {
-		t.Fatalf("golden schema %q, want %q", rep.Schema, SchemaV2)
-	}
-	if len(rep.Structures) == 0 {
-		t.Fatal("golden report has no structures")
-	}
-	for _, s := range rep.Structures {
-		if s.Backend != BackendNative || !s.Deterministic {
-			t.Errorf("%s: v2 row not normalized (backend=%q deterministic=%v)",
-				s.Name, s.Backend, s.Deterministic)
+	// Superseded versions are rejected too: Compare reports a schema
+	// mismatch against any of them, so reading one could never gate.
+	for _, old := range []string{"apram-bench/v1", "apram-bench/v5"} {
+		if _, err := ReadJSON(bytes.NewReader([]byte(`{"schema":"` + old + `"}`))); err == nil {
+			t.Fatalf("superseded schema %s accepted", old)
 		}
 	}
-	if got := Compare(rep, rep, 2, nil); len(got) != 0 {
-		t.Fatalf("v2 self-comparison flagged: %v", got)
-	}
-	// The exact-count gate survives normalization: reads/op drift in a
-	// v2 baseline row must still fail.
-	drifted, err := ReadJSON(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	drifted.Structures[0].ReadsPerOp++
-	if got := Compare(rep, drifted, 2, nil); len(got) != 1 {
-		t.Fatalf("v2 reads/op drift not flagged: %v", got)
-	}
-}
-
-// TestGoldenV3 keeps v3 baselines readable across the v4 shards-axis
-// bump: the committed v3 document parses, its rows keep their recorded
-// backend and determinism but gain Shards=1 (pre-v4 runs always served
-// through a single anchor array), and the keyed Compare still
-// round-trips — so a CI fleet mid-upgrade can gate a v4 run against a
-// v3 baseline without key churn.
-func TestGoldenV3(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "golden_v3.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := ReadJSON(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Schema != SchemaV3 {
-		t.Fatalf("golden schema %q, want %q", rep.Schema, SchemaV3)
-	}
-	if len(rep.Structures) == 0 {
-		t.Fatal("golden report has no structures")
-	}
-	if rep.Shards != 1 {
-		t.Fatalf("report shards normalized to %d, want 1", rep.Shards)
-	}
-	backends := map[string]bool{}
-	for _, s := range rep.Structures {
-		backends[s.Backend] = true
-		if s.Shards != 1 {
-			t.Errorf("%s/%s: v3 row shards normalized to %d, want 1", s.Backend, s.Name, s.Shards)
-		}
-	}
-	if !backends[BackendSim] || !backends[BackendNative] {
-		t.Fatalf("golden v3 rows should span both backends, got %v", backends)
-	}
-	if got := Compare(rep, rep, 2, nil); len(got) != 0 {
-		t.Fatalf("v3 self-comparison flagged: %v", got)
-	}
-	// The exact-count gate survives the axis bump: deterministic drift
-	// in a v3 baseline row must still fail.
-	drifted, err := ReadJSON(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range drifted.Structures {
-		if drifted.Structures[i].Deterministic {
-			drifted.Structures[i].ReadsPerOp++
-			break
-		}
-	}
-	if got := Compare(rep, drifted, 2, nil); len(got) != 1 {
-		t.Fatalf("v3 reads/op drift not flagged: %v", got)
-	}
-}
-
-// TestGoldenV4 keeps v4 baselines readable across the v5 latency-axis
-// bump: the committed v4 document parses with its recorded shard axis
-// intact (unlike pre-v4 docs, v4 rows carry real shard counts that
-// must NOT be normalized away), its rows simply lack the optional
-// latency quantiles, and the keyed Compare round-trips.
-func TestGoldenV4(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "golden_v4.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := ReadJSON(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Schema != SchemaV4 {
-		t.Fatalf("golden schema %q, want %q", rep.Schema, SchemaV4)
-	}
-	if rep.Shards != 2 {
-		t.Fatalf("report shards = %d, want the recorded 2 (v4 docs carry a real shard axis)", rep.Shards)
-	}
-	sharded := false
-	for _, s := range rep.Structures {
-		if s.Shards > 1 {
-			sharded = true
-		}
-		if s.P50Ns != 0 || s.P99Ns != 0 || s.P999Ns != 0 {
-			t.Errorf("%s/%s: v4 row carries v5 latency quantiles", s.Backend, s.Name)
-		}
-	}
-	if !sharded {
-		t.Fatal("golden v4 rows should include a sharded row")
-	}
-	if got := Compare(rep, rep, 2, nil); len(got) != 0 {
-		t.Fatalf("v4 self-comparison flagged: %v", got)
-	}
-	// The exact-count gate survives the bump: deterministic drift in a
-	// v4 baseline row must still fail.
-	drifted, err := ReadJSON(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range drifted.Structures {
-		if drifted.Structures[i].Deterministic {
-			drifted.Structures[i].ReadsPerOp++
-			break
-		}
-	}
-	if got := Compare(rep, drifted, 2, nil); len(got) != 1 {
-		t.Fatalf("v4 reads/op drift not flagged: %v", got)
-	}
-}
-
-// TestGoldenV5 keeps v5 baselines readable across the v6 workload-axis
-// bump: the committed v5 document parses with its latency quantiles
-// intact, every row reads as closed-loop (empty workload, no workload
-// columns), and the keyed Compare round-trips — the empty workload
-// normalizes into the key exactly like the literal "closed".
-func TestGoldenV5(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "golden_v5.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := ReadJSON(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Schema != SchemaV5 {
-		t.Fatalf("golden schema %q, want %q", rep.Schema, SchemaV5)
-	}
-	quantiled := false
-	for _, s := range rep.Structures {
-		if s.Workload != "" {
-			t.Errorf("%s/%s: v5 row carries a v6 workload axis %q", s.Backend, s.Name, s.Workload)
-		}
-		if s.OfferedOpsPerSec != 0 || s.GoodputOpsPerSec != 0 || s.ShedOps != 0 || s.TenantP99Ns != nil {
-			t.Errorf("%s/%s: v5 row carries v6 workload columns", s.Backend, s.Name)
-		}
-		if s.P99Ns > 0 {
-			quantiled = true
-		}
-	}
-	if !quantiled {
-		t.Fatal("golden v5 rows should include latency quantiles")
-	}
-	if got := Compare(rep, rep, 2, nil); len(got) != 0 {
-		t.Fatalf("v5 self-comparison flagged: %v", got)
-	}
-	// An explicit "closed" workload keys identically to the empty one:
-	// a v5 row still matches its closed-loop re-run after the bump.
-	relabeled, err := ReadJSON(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range relabeled.Structures {
-		relabeled.Structures[i].Workload = "closed"
-	}
-	if got := Compare(rep, relabeled, 2, nil); len(got) != 0 {
-		t.Fatalf("explicit closed workload broke row matching: %v", got)
+	if _, err := ReadJSON(bytes.NewReader([]byte(`{"schema":"` + Schema + `"}`))); err != nil {
+		t.Fatalf("current schema rejected: %v", err)
 	}
 }
 

@@ -172,7 +172,7 @@ func (ac *AdoptCommit) Apply(p, v int) (Outcome, int) {
 		panic(fmt.Sprintf("consensus: proposal %d must be non-negative", v))
 	}
 	if ac.emitOps {
-		obs.Begin(ac.probe, p, obs.OpACApply)
+		ac.probe.OpBegin(p, obs.OpACApply)
 	}
 	u, first := ac.phase1(p, v)
 	outcome, w := ac.phase2(p, v, u, first)

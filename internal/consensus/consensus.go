@@ -91,7 +91,7 @@ func (c *Consensus) Decide(p, v int) int {
 		return c.local[p]
 	}
 	if c.probe != nil {
-		obs.Begin(c.probe, p, obs.OpDecide)
+		c.probe.OpBegin(p, obs.OpDecide)
 	}
 	for r := 0; r < len(c.ac); r++ {
 		// Conciliate first: with constant probability all processes

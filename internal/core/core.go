@@ -411,7 +411,7 @@ func (u *Universal) Execute(p int, inv spec.Inv) any {
 		panic(fmt.Sprintf("core: process %d out of range [0,%d)", p, u.n))
 	}
 	if u.probe != nil {
-		obs.Begin(u.probe, p, obs.OpExecute)
+		u.probe.OpBegin(p, obs.OpExecute)
 	}
 	var resp any
 	if u.eng != nil {

@@ -118,11 +118,11 @@ type Truncation struct {
 	lagged bool
 
 	// spanOpen/spanEpoch/proposals drive the flight-recorder epoch
-	// intervals (obs.EpochProbe): spanOpen[p] marks an open begin edge
-	// for slot p, spanEpoch[p] the proposal it belongs to. Every edge
-	// is emitted by slot p's own turn — the recorder's single-writer
-	// discipline — so a slot released by an abort on another slot's
-	// turn closes its span at its own next boundary.
+	// intervals (Probe.EpochBegin/EpochEnd): spanOpen[p] marks an open
+	// begin edge for slot p, spanEpoch[p] the proposal it belongs to.
+	// Every edge is emitted by slot p's own turn — the recorder's
+	// single-writer discipline — so a slot released by an abort on
+	// another slot's turn closes its span at its own next boundary.
 	spanOpen  []bool
 	spanEpoch []uint64
 	proposals uint64
@@ -446,7 +446,6 @@ func (t *Truncation) advance(p int, lin *Linearizer, probe obs.Probe) {
 	t.freed += uint64(removed)
 	if probe != nil {
 		probe.Event(p, obs.EvTruncate)
-		obs.GaugeSet(probe, p, obs.GaugeRetained, uint64(lin.Retained()))
 	}
 	t.endEpoch()
 }
@@ -468,7 +467,7 @@ func (t *Truncation) openSpan(p int, probe obs.Probe) {
 	t.spanOpen[p] = true
 	t.spanEpoch[p] = t.proposals
 	if probe != nil {
-		obs.EpochBegin(probe, p)
+		probe.EpochBegin(p)
 	}
 }
 
@@ -480,7 +479,7 @@ func (t *Truncation) closeSpan(p int, probe obs.Probe) {
 	}
 	t.spanOpen[p] = false
 	if probe != nil {
-		obs.EpochEnd(probe, p)
+		probe.EpochEnd(p)
 	}
 }
 

@@ -83,8 +83,8 @@ func nativeLatencies(s spec.Spec, n, opsPer int, script ucScript) []float64 {
 func serveLiveLatencies(n, clients, opsPerClient int) []float64 {
 	rec := obs.NewRecorder(n,
 		obs.WithSpanCapacity(4*clients*opsPerClient/n+obs.DefaultSpanCapacity),
-		obs.WithMonotonicClock())
-	sv := serve.New(apram.CounterSpec{}, n, apram.WithRecorder(rec))
+		obs.WithClock(obs.MonotonicClock()))
+	sv := serve.New(apram.CounterSpec{}, n, apram.WithProbe(rec))
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
@@ -188,7 +188,7 @@ func E18Backends() Table {
 		"sim latency counts serialized global steps while the op was in flight (exact,",
 		"seed-deterministic); native latency is wall-clock ns across real goroutines",
 		"serve-live is the full batched serving path measured end to end by a flight",
-		"recorder on a monotonic ns clock (obs.WithMonotonicClock), one span per batch",
+		"recorder on a monotonic ns clock (obs.MonotonicClock), one span per batch",
 		"read the columns against each other: sim p99.9 sits within ~1.5x of p50 — the",
 		"model's bounded-step guarantee made visible; native medians are microseconds and",
 		"any far tail is OS/runtime preemption of a spinning goroutine, the part of",

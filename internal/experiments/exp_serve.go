@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/apram"
+	"repro/apram/obs"
 	"repro/apram/serve"
 )
 
@@ -22,9 +23,10 @@ type serveLoad struct {
 // submitting opsPerClient operations (three increments to one read,
 // so the pure-elide path is exercised), against a serve.Server over an
 // n-slot counter with the given batch cap (0 = default). Shared
-// accesses come from an attached Stats probe; every register access
-// of the underlying universal object is counted, so accesses per
-// logical operation is exact, not sampled.
+// accesses and the batch count (one OpBatch per serve turn) come from
+// an attached Stats probe; every register access of the underlying
+// universal object is counted, so accesses per logical operation is
+// exact, not sampled.
 func runServeLoad(n, clients, batchCap, opsPerClient int) serveLoad {
 	st := apram.NewStats(n)
 	opts := []apram.Option{apram.WithProbe(st)}
@@ -61,7 +63,7 @@ func runServeLoad(n, clients, batchCap, opsPerClient int) serveLoad {
 	ops := clients * opsPerClient
 	return serveLoad{
 		logicalOps: ops,
-		meanBatch:  sum.MeanBatch,
+		meanBatch:  float64(ops) / float64(sum.Ops[obs.OpBatch.String()].Count),
 		accessesOp: float64(sum.Reads+sum.Writes) / float64(ops),
 		opsPerSec:  float64(ops) / elapsed.Seconds(),
 	}

@@ -82,7 +82,7 @@ func RunTimed(m *Mem, machines []pram.Machine, probe obs.Probe, op obs.Op) ([]pr
 			}
 			for !mc.Done() {
 				if probe != nil {
-					obs.Begin(probe, p, op)
+					probe.OpBegin(p, op)
 				}
 				start := time.Since(epoch)
 				for !mc.Done() {

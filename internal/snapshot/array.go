@@ -121,7 +121,7 @@ func (dc *DoubleCollect) Instrument(p obs.Probe, emitOps bool) {
 // Update sets process p's element to v.
 func (dc *DoubleCollect) Update(p int, v any) {
 	if dc.emitOps {
-		obs.Begin(dc.probe, p, obs.OpScan)
+		dc.probe.OpBegin(p, obs.OpScan)
 	}
 	old := dc.cells[p].Load()
 	dc.cells[p].Store(&dcCell{seq: old.seq + 1, val: v})
@@ -138,7 +138,7 @@ func (dc *DoubleCollect) Update(p int, v any) {
 // It returns nil if MaxRetries is positive and exceeded.
 func (dc *DoubleCollect) Scan(p int) []any {
 	if dc.emitOps {
-		obs.Begin(dc.probe, p, obs.OpScan)
+		dc.probe.OpBegin(p, obs.OpScan)
 	}
 	done := func(reads int, out []any) []any {
 		if dc.probe != nil {
@@ -234,7 +234,7 @@ func (a *Afek) Instrument(p obs.Probe, emitOps bool) {
 // expensive but scans wait-free.
 func (a *Afek) Update(p int, v any) {
 	if a.emitOps {
-		obs.Begin(a.probe, p, obs.OpScan)
+		a.probe.OpBegin(p, obs.OpScan)
 	}
 	view := a.scan(p)
 	old := a.cells[p].Load()
@@ -252,7 +252,7 @@ func (a *Afek) Update(p int, v any) {
 // or the view embedded by a process observed to move twice.
 func (a *Afek) Scan(p int) []any {
 	if a.emitOps {
-		obs.Begin(a.probe, p, obs.OpScan)
+		a.probe.OpBegin(p, obs.OpScan)
 	}
 	out := a.scan(p)
 	if a.probe != nil && a.emitOps {

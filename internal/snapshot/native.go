@@ -80,7 +80,7 @@ func (s *Snapshot) Lattice() lattice.Lattice { return s.lat }
 func (s *Snapshot) Scan(p int, v any) any {
 	s.check(p)
 	if s.emitOps {
-		obs.Begin(s.probe, p, obs.OpScan)
+		s.probe.OpBegin(p, obs.OpScan)
 	}
 	local := s.local[p]
 	// reads and writes count the atomic register accesses actually

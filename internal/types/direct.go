@@ -116,7 +116,7 @@ func (c *DirectCounter) publish(p int, cell counterCell) {
 // adjust adds delta to p's contribution under the newest epoch.
 func (c *DirectCounter) adjust(p int, inc, dec int64) {
 	if c.emitOps {
-		obs.Begin(c.probe, p, obs.OpCounterAdd)
+		c.probe.OpBegin(p, obs.OpCounterAdd)
 	}
 	_, top := c.collect(p)
 	cell := c.mine[p]
@@ -148,7 +148,7 @@ func (c *DirectCounter) Dec(p int, amount int64) { c.adjust(p, 0, amount) }
 // (the paper's reset semantics: reset overwrites everything).
 func (c *DirectCounter) Reset(p int, value int64) {
 	if c.emitOps {
-		obs.Begin(c.probe, p, obs.OpCounterReset)
+		c.probe.OpBegin(p, obs.OpCounterReset)
 	}
 	_, top := c.collect(p)
 	cell := counterCell{
@@ -164,7 +164,7 @@ func (c *DirectCounter) Reset(p int, value int64) {
 // Read returns the current counter value.
 func (c *DirectCounter) Read(p int) int64 {
 	if c.emitOps {
-		obs.Begin(c.probe, p, obs.OpCounterRead)
+		c.probe.OpBegin(p, obs.OpCounterRead)
 	}
 	cells, top := c.collect(p)
 	var val int64
@@ -213,7 +213,7 @@ func (c *DirectClock) Instrument(p obs.Probe, emitOps bool) {
 // Merge joins ts into the clock.
 func (c *DirectClock) Merge(p int, ts lattice.IntMap) {
 	if c.emitOps {
-		obs.Begin(c.probe, p, obs.OpClockMerge)
+		c.probe.OpBegin(p, obs.OpClockMerge)
 	}
 	c.snap.Update(p, ts)
 	if c.emitOps {
@@ -224,7 +224,7 @@ func (c *DirectClock) Merge(p int, ts lattice.IntMap) {
 // Read returns the current vector timestamp.
 func (c *DirectClock) Read(p int) lattice.IntMap {
 	if c.emitOps {
-		obs.Begin(c.probe, p, obs.OpClockRead)
+		c.probe.OpBegin(p, obs.OpClockRead)
 	}
 	out := c.snap.ReadMax(p).(lattice.IntMap)
 	if c.emitOps {

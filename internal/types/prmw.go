@@ -141,7 +141,7 @@ func (o *PRMW) Instrument(p obs.Probe, emitOps bool) {
 // Update applies the delta to the object without returning a value.
 func (o *PRMW) Update(p int, delta any) {
 	if o.emitOps {
-		obs.Begin(o.probe, p, obs.OpPRMWUpdate)
+		o.probe.OpBegin(p, obs.OpPRMWUpdate)
 	}
 	o.mine[p] = o.fam.Merge(o.mine[p], delta)
 	o.tag[p]++
@@ -155,7 +155,7 @@ func (o *PRMW) Update(p int, delta any) {
 // applied to the initial value.
 func (o *PRMW) Read(p int) any {
 	if o.emitOps {
-		obs.Begin(o.probe, p, obs.OpPRMWRead)
+		o.probe.OpBegin(p, obs.OpPRMWRead)
 	}
 	vec := o.snap.ReadMax(p).(lattice.Vec)
 	acc := o.fam.Identity()

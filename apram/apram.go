@@ -193,9 +193,7 @@ func newUniversal(s Spec, n int, cfg Options) *Object {
 		u = core.New(s, n)
 	}
 	if cfg.TruncateEvery > 0 {
-		// Best-effort: a spec without a checkpoint codec stays
-		// unbounded (Object.TruncationEnabled tells which way it went).
-		u.EnableTruncation(cfg.TruncateEvery, cfg.RetainEntries)
+		u.EnableTruncation(cfg.TruncateEvery)
 	}
 	return u
 }

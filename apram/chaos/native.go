@@ -65,35 +65,32 @@ type NativeReport struct {
 func (r *NativeReport) Failed() bool { return len(r.Failures) > 0 }
 
 // nativeTarget resolves a structure name for the native backend:
-// every registered sequential type, plus the truncate-* variants
-// (including the planted-bug one) and the shard-* targets (which
-// RunNative dispatches to runNativeShard). Machine-granular structures
-// (snapshot, dcsnapshot, agreement, consensus, serve-*) are
-// simulator-only.
+// every registered sequential type, plus the truncate-* variants of
+// the Property-1 types (including the planted-bug ones) and the
+// shard-* targets (which RunNative dispatches to runNativeShard). The
+// queue and sticky bit have no truncate-* variant: the construction
+// promises them nothing, so there is no equivalence to check.
+// Machine-granular structures (snapshot, dcsnapshot, agreement,
+// consensus, serve-*) are simulator-only.
 func nativeTarget(name string) (s types.Sampler, truncate, planted bool, err error) {
 	if ss, p, ok := shardNativeTarget(name); ok {
 		return ss, false, p, nil
 	}
-	base := name
+	base, pool := name, types.AllTypes()
 	if rest, ok := strings.CutPrefix(base, "truncate-"); ok {
-		truncate = true
+		truncate, pool = true, types.Property1Types()
 		base = rest
 		if trimmed, ok := strings.CutSuffix(base, "-bug"); ok {
 			planted = true
 			base = trimmed
 		}
 	}
-	for _, t := range types.AllTypes() {
+	for _, t := range pool {
 		if t.Name() == base {
-			if truncate {
-				if _, ok := spec.AsCheckpointable(t); !ok {
-					return nil, false, false, fmt.Errorf("chaos: %s: spec has no checkpoint codec", name)
-				}
-			}
 			return t, truncate, planted, nil
 		}
 	}
-	return nil, false, false, fmt.Errorf("chaos: structure %q has no native backend (native mode drives the sequential types and their truncate-* variants)", name)
+	return nil, false, false, fmt.Errorf("chaos: structure %q has no native backend (native mode drives the sequential types and the truncate-* variants of the Property-1 types)", name)
 }
 
 // NativeStructures lists the structure names RunNative accepts.
@@ -102,8 +99,10 @@ func NativeStructures() []string {
 	for _, t := range types.AllTypes() {
 		out = append(out, t.Name())
 	}
-	out = append(out, "truncate-counter", "truncate-gset", "truncate-counter-bug",
-		"shard-counter", "shard-gset", "shard-counter-bug")
+	for _, t := range types.Property1Types() {
+		out = append(out, "truncate-"+t.Name())
+	}
+	out = append(out, "truncate-counter-bug", "shard-counter", "shard-gset", "shard-counter-bug")
 	return out
 }
 
@@ -167,9 +166,7 @@ func RunNative(cfg Config) (*NativeReport, error) {
 	probe := obs.NewStats(n)
 	u.Instrument(probe)
 	if doTrunc {
-		if !u.EnableTruncation(truncEvery, 0) {
-			return nil, fmt.Errorf("chaos: %s: truncation unexpectedly disabled", cfg.Structure)
-		}
+		u.EnableTruncation(truncEvery)
 		if planted {
 			u.Truncation().SetUnsafe()
 		}

@@ -95,7 +95,7 @@ func TestNativePlantedBugCaught(t *testing.T) {
 
 // TestNativeTargetResolution pins the native structure registry: every
 // advertised name resolves, machine-granular targets are rejected, and
-// truncate-* requires a checkpoint codec.
+// truncate-* requires a Property-1 type.
 func TestNativeTargetResolution(t *testing.T) {
 	for _, name := range NativeStructures() {
 		if _, _, _, err := nativeTarget(name); err != nil {

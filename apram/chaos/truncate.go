@@ -172,10 +172,7 @@ func truncateTarget(s types.Sampler, planted bool) *target {
 			u := core.NewSim(s, n, 0, mem)
 			refMem := pram.NewMem(lay.Regs(), n)
 			uref := core.NewSim(s, n, 0, refMem)
-			trc, ok := core.NewTruncation(s, n, truncEvery, 0)
-			if !ok {
-				return nil, fmt.Errorf("chaos: %s: spec has no checkpoint codec", name)
-			}
+			trc := core.NewTruncation(n, truncEvery)
 			if planted {
 				trc.SetUnsafe()
 			}

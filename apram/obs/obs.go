@@ -150,9 +150,8 @@ const (
 	// batch_size histogram).
 	EvBatch
 	// EvCheckpoint is one process folding a dominated history prefix
-	// into its spec.Key-validated checkpoint state during a truncation
-	// epoch (one per process per epoch; purely local, no register
-	// traffic).
+	// into its linearizer's replay base state during a truncation epoch
+	// (one per process per epoch; purely local, no register traffic).
 	EvCheckpoint
 	// EvTruncate is a truncation epoch completing: every process has
 	// folded, the dominated entries are freed, and the boundary Prev

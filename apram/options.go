@@ -82,11 +82,9 @@ type Options struct {
 	// (0 when unset, meaning "use the layer's default").
 	BatchCap   int
 	QueueDepth int
-	// TruncateEvery and RetainEntries carry the bounded-memory options
-	// (WithTruncateEvery / WithRetainEntries): TruncateEvery 0 (unset)
-	// leaves the entry graph unbounded.
+	// TruncateEvery carries WithTruncateEvery: 0 (unset) leaves the
+	// entry graph unbounded.
 	TruncateEvery int
-	RetainEntries int
 	// Backend carries WithBackend; the zero value is the native
 	// (sync/atomic) substrate.
 	Backend Backend
@@ -168,26 +166,14 @@ func WithShards(s int) Option {
 // WithTruncateEvery bounds the memory of objects built on the
 // universal construction: every k completed operations the object's
 // slots run a checkpoint-and-truncate epoch, folding the history
-// prefix dominated by every slot's anchor into a spec.Key-validated
-// state checkpoint and freeing the folded entries. Responses,
-// linearizations, and the shared-access trace are identical to the
-// unbounded object — only memory behaviour changes. k ≤ 0 (the
-// default) leaves the graph unbounded; so does a spec with no
-// checkpoint codec (spec.Checkpointable), in which case the option is
-// silently ignored — Object.TruncationEnabled reports which way it
-// went. Constructors not built on the universal construction ignore
-// it.
+// prefix dominated by every slot's anchor into each slot's replay base
+// state and freeing the folded entries. It applies to every spec.
+// Responses, linearizations, and the shared-access trace are identical
+// to the unbounded object — only memory behaviour changes. k ≤ 0 (the
+// default) leaves the graph unbounded. Constructors not built on the
+// universal construction ignore it.
 func WithTruncateEvery(k int) Option {
 	return func(c *Options) { c.TruncateEvery = k }
-}
-
-// WithRetainEntries sets the truncation floor used with
-// WithTruncateEvery: epochs are skipped while the entry graph holds
-// no more than n entries, so a mostly-idle object is not churned for
-// negligible reclaim. The default 0 truncates whenever there is a
-// foldable prefix. It has no effect without WithTruncateEvery.
-func WithRetainEntries(n int) Option {
-	return func(c *Options) { c.RetainEntries = n }
 }
 
 // WithTelemetry attaches a metrics registry to the serving layers:

@@ -156,30 +156,42 @@ func TestServeTruncationIdleEpochCompletion(t *testing.T) {
 	}
 }
 
-// noCodecSpec hides a spec's optional extensions (checkpoint codec,
-// purity, samples) behind the bare Spec interface, modelling a
-// user-defined type that never implemented Checkpointable.
-type noCodecSpec struct{ apram.Spec }
+// bareSpec hides a spec's optional extensions (purity, partitioning,
+// samples) behind the bare Spec interface, modelling a user-defined
+// type that implements nothing else.
+type bareSpec struct{ apram.Spec }
 
-// TestServeTruncationGracefulDegradation: a spec without a checkpoint
-// codec serves normally with the option present — unbounded, not
-// broken.
+// TestServeTruncationGracefulDegradation: a spec that implements only
+// the bare Spec interface truncates like a built-in one. Epochs
+// complete, entries are freed, and the served value stays exact.
 func TestServeTruncationGracefulDegradation(t *testing.T) {
-	sv := serve.New(noCodecSpec{apram.CounterSpec{}}, 2, apram.WithTruncateEvery(8))
+	const ops = 40
+	sv := serve.New(bareSpec{apram.CounterSpec{}}, 2, apram.WithTruncateEvery(8))
 	defer sv.Close()
-	if sv.Object().TruncationEnabled() {
-		t.Fatal("spec has no codec; truncation should be disabled")
+	if !sv.Object().TruncationEnabled() {
+		t.Fatal("truncation should be enabled for a bare spec")
 	}
-	for k := 0; k < 40; k++ {
+	for k := 0; k < ops; k++ {
 		if _, err := sv.Do(context.Background(), apram.Inc(1)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st := sv.Object().TruncStats()
+		if st.Epochs > 0 && st.Freed > 0 && st.Phase == "idle" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("bare spec never completed an epoch: %+v", st)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 	got, err := sv.Do(context.Background(), apram.Read())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.(int64) != 40 {
-		t.Fatalf("Read = %v, want 40", got)
+	if got.(int64) != ops {
+		t.Fatalf("Read = %v, want %d", got, ops)
 	}
 }

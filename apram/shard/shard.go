@@ -211,9 +211,7 @@ func (sv *Server) shardOptions(ro apram.Options, i int) []apram.Option {
 		apram.WithAdmission(ro.Admission),
 	}
 	if ro.TruncateEvery > 0 {
-		opts = append(opts,
-			apram.WithTruncateEvery(ro.TruncateEvery),
-			apram.WithRetainEntries(ro.RetainEntries))
+		opts = append(opts, apram.WithTruncateEvery(ro.TruncateEvery))
 	}
 	if ro.HasSeed {
 		opts = append(opts, apram.WithSeed(ro.Seed))

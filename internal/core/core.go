@@ -327,27 +327,20 @@ func (u *Universal) StepClock() func() uint64 {
 }
 
 // EnableTruncation bounds the object's entry graph: once every
-// `every` completed operations (and once more than `retain` entries
-// are live), the slots run a checkpoint-and-truncate epoch that folds
-// the history prefix below every anchor into a spec.Key-validated
-// state checkpoint and frees the folded entries (see Truncation). It
-// returns false — leaving the object unbounded — when the spec has no
-// checkpoint codec. Call before the object is shared; responses,
-// linearizations, and the shared-access trace are identical with or
-// without truncation.
-func (u *Universal) EnableTruncation(every, retain int) bool {
-	tr, ok := NewTruncation(u.s, u.n, every, retain)
-	if !ok {
-		return false
-	}
-	u.tr = tr
+// `every` completed operations, the slots run a checkpoint-and-truncate
+// epoch that folds the history prefix below every anchor into each
+// linearizer's replay base state and frees the folded entries (see
+// Truncation). Every spec can truncate. Call before the object is
+// shared; responses, linearizations, and the shared-access trace are
+// identical with or without truncation.
+func (u *Universal) EnableTruncation(every int) {
+	u.tr = NewTruncation(u.n, every)
 	for _, mc := range u.mcs {
-		mc.SetTruncation(tr)
+		mc.SetTruncation(u.tr)
 	}
-	return true
 }
 
-// TruncationEnabled reports whether EnableTruncation succeeded.
+// TruncationEnabled reports whether EnableTruncation was called.
 func (u *Universal) TruncationEnabled() bool { return u.tr != nil }
 
 // Truncation returns the object's truncation coordinator (nil when

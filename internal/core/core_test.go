@@ -122,9 +122,7 @@ func TestConcurrentCounterTotals(t *testing.T) {
 func TestRetainedConcurrentObservers(t *testing.T) {
 	const n, opsPer = 3, 150
 	u := New(types.Counter{}, n)
-	if !u.EnableTruncation(16, 0) {
-		t.Fatal("counter must be checkpointable")
-	}
+	u.EnableTruncation(16)
 	stop := make(chan struct{})
 	observed := make(chan int)
 	go func() {
@@ -180,9 +178,7 @@ func TestPanickingInvocationLeavesSlotUsable(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			u := tc.mk()
-			if !u.EnableTruncation(4, 0) {
-				t.Fatal("counter must be checkpointable")
-			}
+			u.EnableTruncation(4)
 			for k := 0; k < 3; k++ {
 				func() {
 					defer func() {

@@ -71,14 +71,13 @@ type Linearizer struct {
 	// is the spec state after replaying it FROM base, and stateKey its
 	// spec.Key at memoization time (checkpoint validation). base is the
 	// folded state of every truncated history prefix (spec.Init() until
-	// the first truncation) and baseKey its validation key: replay
-	// always starts from base, never from Init, so folded entries stay
-	// part of the object's history after their *Entry values are freed.
+	// the first truncation): replay always starts from base, never from
+	// Init, so folded entries stay part of the object's history after
+	// their *Entry values are freed.
 	order    []*Entry
 	state    spec.State
 	stateKey string
 	base     spec.State
-	baseKey  string
 
 	// byProc[q] counts the q-entries this engine has EVER indexed —
 	// monotone across truncations (Truncate never decrements it).
@@ -117,16 +116,14 @@ type Linearizer struct {
 // implementation.
 func NewLinearizer(s spec.Spec) *Linearizer {
 	st := s.Init()
-	key := s.Key(st)
 	return &Linearizer{
 		s:           s,
 		index:       map[*Entry]int32{},
 		visited:     map[*Entry]uint32{},
 		dom:         map[domPair]bool{},
 		state:       st,
-		stateKey:    key,
+		stateKey:    s.Key(st),
 		base:        st,
-		baseKey:     key,
 		incremental: true,
 	}
 }
@@ -472,8 +469,10 @@ var ErrTruncatePrefix = errors.New("core: watermark entries are not a linearizat
 // and every engine participating in the epoch has indexed the same
 // fold set. Under those conditions the fold set occupies ranks 0..k-1
 // of every engine's linearization in the same order, so each engine
-// folds to the identical base state — which the order-prefix check
-// verifies and the spec.Key-validated codec round-trip cross-checks.
+// folds to the identical base state. The order-prefix check below
+// verifies that the fold set is exactly ranks 0..k-1; the fold is a
+// replay of those ranks, which a total, deterministic spec makes
+// exactly the state the untruncated engine reaches at rank k.
 //
 // On success it returns the number of entries freed and the surviving
 // entries whose Prev arrays still point into the fold set (the cut
@@ -498,17 +497,10 @@ func (l *Linearizer) Truncate(w uint64) (removed int, boundary []*Entry, err err
 		}
 	}
 
-	// Fold: replay the prefix onto base, then validate the fold through
-	// the checkpoint codec (encode → decode → spec.Key cross-check). A
-	// codec failure aborts the fold with the engine untouched.
-	invs := make([]spec.Inv, k)
-	for i := 0; i < k; i++ {
-		invs[i] = l.order[i].Inv
-	}
-	newBase, _ := spec.ReplayFrom(l.s, l.base, invs)
-	ck, err := spec.MakeCheckpoint(l.s, newBase)
-	if err != nil {
-		return 0, nil, err
+	// Fold: replay the prefix onto base.
+	newBase := l.base
+	for _, e := range l.order[:k] {
+		newBase, _ = l.s.Apply(newBase, e.Inv)
 	}
 
 	// Rebuild the index over the survivors. Survivors keep their
@@ -571,7 +563,7 @@ func (l *Linearizer) Truncate(w uint64) (removed int, boundary []*Entry, err err
 	l.live.Store(int64(len(survivors)))
 	l.visited = map[*Entry]uint32{}
 	l.gen = 0
-	l.base, l.baseKey = newBase, ck.Key
+	l.base = newBase
 	l.truncations++
 	l.truncated += uint64(k)
 	return k, boundary, nil

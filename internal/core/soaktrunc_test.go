@@ -3,9 +3,12 @@ package core
 import (
 	"os"
 	"runtime"
+	"runtime/metrics"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/types"
 )
@@ -57,12 +60,55 @@ func checkSoak(t *testing.T, u *Universal, total int, base, final, finalInuse ui
 		total, st.Epochs, st.Freed, u.Retained(), base, final, finalInuse)
 }
 
+// The native soak stops early, and fails, when either guard trips:
+//
+//   - soakHeapLimit, the live heap: the same 256 MiB the CI soak row
+//     sets as GOMEMLIMIT. A bounded graph (a few hundred retained
+//     entries) lives in a few megabytes; a live heap this large means
+//     the fold has fallen behind traffic.
+//   - soakOpBudget per operation of wall time: a bounded run costs
+//     6–15 µs per operation on one CPU, at most a thirtieth of this.
+//
+// Running on past either only grows the graph, and each rebuild over
+// it, until go test's timeout takes the rest of the package down too.
+const (
+	soakHeapLimit = 256 << 20
+	soakOpBudget  = 500 * time.Microsecond
+)
+
+// watchSoak polls until done is closed. It stores the first live-heap
+// sample (as of the last GC) above limit in over, or sets late once
+// deadline passes.
+func watchSoak(limit uint64, deadline time.Time, over *atomic.Uint64, late *atomic.Bool, done <-chan struct{}) {
+	sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	tick := time.NewTicker(50 * time.Millisecond)
+	defer tick.Stop()
+	for {
+		select {
+		case <-done:
+			return
+		case now := <-tick.C:
+			if now.After(deadline) {
+				late.Store(true)
+				return
+			}
+		}
+		metrics.Read(sample)
+		if v := sample[0].Value.Uint64(); v > limit {
+			over.Store(v)
+			return
+		}
+	}
+}
+
 // TestSoakTruncationBoundedMemoryNative is the tentpole soak on the
 // native backend: n goroutines hammer a truncation-enabled counter and
 // the live heap must stay flat — the checkpoint-and-truncate protocol
 // folds the dominated history into the checkpoint as fast as traffic
 // creates it. The final read cross-checks correctness at scale: no
-// increment may be lost or duplicated through any number of cuts.
+// increment may be lost or duplicated through any number of cuts. The
+// live heap and the wall time are also watched during the run: past
+// either guard the workers stop and the test fails at once.
 func TestSoakTruncationBoundedMemoryNative(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
@@ -70,9 +116,15 @@ func TestSoakTruncationBoundedMemoryNative(t *testing.T) {
 	const n = 4
 	total := soakOps(400_000)
 	u := New(types.Counter{}, n)
-	if !u.EnableTruncation(64, 0) {
-		t.Fatal("counter must be checkpointable")
-	}
+	u.EnableTruncation(64)
+
+	var over atomic.Uint64
+	var late atomic.Bool
+	start := time.Now()
+	budget := time.Duration(total) * soakOpBudget
+	watchDone := make(chan struct{})
+	go watchSoak(soakHeapLimit, start.Add(budget), &over, &late, watchDone)
+	defer close(watchDone)
 
 	warm := total / 10
 	var base uint64
@@ -81,6 +133,7 @@ func TestSoakTruncationBoundedMemoryNative(t *testing.T) {
 	barrier.Add(n)
 	var wg sync.WaitGroup
 	var want int64
+	var issued atomic.Int64
 	var mu sync.Mutex
 	for p := 0; p < n; p++ {
 		wg.Add(1)
@@ -88,7 +141,16 @@ func TestSoakTruncationBoundedMemoryNative(t *testing.T) {
 			defer wg.Done()
 			per := total / n
 			var local int64
+			arrived := false
+			defer func() {
+				if !arrived {
+					barrier.Done() // release the others if stopped early
+				}
+			}()
 			for i := 0; i < per; i++ {
+				if over.Load() != 0 || late.Load() {
+					break
+				}
 				// Rotate the scheduler every operation: on few-core boxes
 				// goroutines otherwise run in long bursts, and an epoch
 				// proposed during one worker's burst would wait out every
@@ -98,6 +160,7 @@ func TestSoakTruncationBoundedMemoryNative(t *testing.T) {
 				if i*n == warm {
 					// All workers pause once near the 10% mark so the
 					// baseline heap sample sees a quiesced graph.
+					arrived = true
 					barrier.Done()
 					barrier.Wait()
 					once.Do(func() { base, _ = heapInUse() })
@@ -108,6 +171,7 @@ func TestSoakTruncationBoundedMemoryNative(t *testing.T) {
 					u.Execute(p, types.Inc(1))
 					local++
 				}
+				issued.Add(1)
 			}
 			mu.Lock()
 			want += local
@@ -115,6 +179,14 @@ func TestSoakTruncationBoundedMemoryNative(t *testing.T) {
 		}(p)
 	}
 	wg.Wait()
+	if live := over.Load(); live != 0 {
+		t.Fatalf("live heap reached %d bytes (limit %d) after %d of %d ops with %d retained entries and %d epochs — memory is not bounded",
+			live, uint64(soakHeapLimit), issued.Load(), total, u.Retained(), u.TruncStats().Epochs)
+	}
+	if late.Load() {
+		t.Fatalf("only %d of %d ops in %v (budget %v per op) with %d retained entries and %d epochs — local work is not bounded",
+			issued.Load(), total, time.Since(start).Round(time.Millisecond), soakOpBudget, u.Retained(), u.TruncStats().Epochs)
+	}
 	if got := u.Execute(0, types.Read()).(int64); got != want {
 		t.Fatalf("final read %d, want %d — an increment was lost or duplicated across cuts", got, want)
 	}
@@ -152,9 +224,7 @@ func TestSoakTruncationBoundedMemorySim(t *testing.T) {
 	const n = 4
 	total := soakOps(400_000) / 5
 	u := NewSimulated(types.Counter{}, n, nil)
-	if !u.EnableTruncation(64, 0) {
-		t.Fatal("counter must be checkpointable")
-	}
+	u.EnableTruncation(64)
 	var want, base uint64
 	warm := total / 10
 	for i := 0; i < total; i++ {

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/apram/obs"
-	"repro/internal/spec"
 )
 
 // Truncation coordinates checkpoint-and-truncate epochs for one
@@ -21,8 +20,8 @@ import (
 //	idle ──propose──▶ proposed ──all acked──▶ folding ──all folded──▶ idle
 //
 // Propose: at an operation's end, once `every` operations have
-// completed since the last epoch and the proposer retains more than
-// `retain` entries, the proposer derives the watermark W from its own
+// completed since the last epoch and the proposer retains at least one
+// entry, the proposer derives the watermark W from its own
 // just-scanned view: W = min over the view's anchor stamps − 1. Every
 // entry with Seq ≤ W was published before the proposal (each slot's
 // anchor already carried a larger stamp) and is an ancestor of every
@@ -78,10 +77,8 @@ import (
 // paper's cost accounting — and, in sim mode, the exact shared-access
 // trace — is bit-identical to an untruncated run.
 type Truncation struct {
-	s      spec.Spec
-	n      int
-	every  int
-	retain int
+	n     int
+	every int
 
 	// unsafe removes the watermark's −1 (the planted truncation bug):
 	// the proposer's view anchors themselves enter the fold set while
@@ -150,23 +147,16 @@ func (p truncPhase) String() string {
 	return "phase?"
 }
 
-// NewTruncation returns a coordinator for an n-process object of s
-// that attempts an epoch every `every` completed operations once the
-// proposer retains more than `retain` entries. It returns false when
-// s has no checkpoint codec (spec.AsCheckpointable) — the caller must
-// then leave the object unbounded.
-func NewTruncation(s spec.Spec, n, every, retain int) (*Truncation, bool) {
-	if _, ok := spec.AsCheckpointable(s); !ok {
-		return nil, false
-	}
+// NewTruncation returns a coordinator for an n-process object that
+// attempts an epoch every `every` completed operations. Any spec can
+// truncate: a fold is a replay onto the base state, and specs are
+// total and deterministic.
+func NewTruncation(n, every int) *Truncation {
 	if every <= 0 {
 		every = 1
 	}
-	if retain < 0 {
-		retain = 0
-	}
 	return &Truncation{
-		s: s, n: n, every: every, retain: retain,
+		n: n, every: every,
 		acked:     make([]bool, n),
 		need:      make([]uint64, n),
 		folded:    make([]bool, n),
@@ -174,7 +164,7 @@ func NewTruncation(s spec.Spec, n, every, retain int) (*Truncation, bool) {
 		nilAt:     make([]bool, n),
 		spanOpen:  make([]bool, n),
 		spanEpoch: make([]uint64, n),
-	}, true
+	}
 }
 
 // SetUnsafe plants the truncation bug the chaos harness must catch:
@@ -333,7 +323,7 @@ func (t *Truncation) propose(p int, view []*Entry, lin *Linearizer) {
 	if !t.unsafe {
 		w-- // keep every proposal-time anchor out of the fold set
 	}
-	if w <= t.lastW || lin.Retained() <= t.retain {
+	if w <= t.lastW || lin.Retained() == 0 {
 		t.ops.Store(0)
 		return
 	}
@@ -407,9 +397,9 @@ func (t *Truncation) advance(p int, lin *Linearizer, probe obs.Probe) {
 	removed, boundary, err := lin.Truncate(t.w)
 	if err != nil {
 		if t.nFold == 0 {
-			// First folder: the fold set is not a linearization prefix
-			// (or the codec rejected the fold). Abort; a later epoch's
-			// larger watermark internalizes the offending pair.
+			// First folder: the fold set is not a linearization prefix.
+			// Abort; a later epoch's larger watermark internalizes the
+			// offending pair.
 			t.aborts++
 			t.closeSpan(p, probe)
 			t.endEpoch()

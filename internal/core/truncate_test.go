@@ -21,9 +21,7 @@ import (
 func TestTruncateNativeCounterEquivalence(t *testing.T) {
 	const n, per, every = 4, 400, 16
 	u := New(types.Counter{}, n)
-	if !u.EnableTruncation(every, 0) {
-		t.Fatal("counter should be checkpointable")
-	}
+	u.EnableTruncation(every)
 	var want int64
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -94,16 +92,11 @@ func TestTruncateNativeCounterEquivalence(t *testing.T) {
 // register trace may not shift by a single read.
 func TestTruncateSimTraceIdentical(t *testing.T) {
 	for _, s := range types.Property1Types() {
-		if _, ok := spec.AsCheckpointable(s); !ok {
-			continue
-		}
 		t.Run(s.Name(), func(t *testing.T) {
 			const n, ops = 3, 300
 			ref := NewSimulated(s, n, nil)
 			tr := NewSimulated(s, n, nil)
-			if !tr.EnableTruncation(8, 0) {
-				t.Fatal("EnableTruncation refused a checkpointable spec")
-			}
+			tr.EnableTruncation(8)
 			rng := rand.New(rand.NewSource(7))
 			invs := s.(types.Sampler).SampleInvocations()
 			for k := 0; k < ops; k++ {
@@ -127,24 +120,32 @@ func TestTruncateSimTraceIdentical(t *testing.T) {
 	}
 }
 
-// TestTruncateGracefulDegradation: a spec with no checkpoint codec
-// (the queue — deliberately uncodec'd) keeps working unbounded when
-// truncation is requested.
+// bareSpec hides a spec's optional extensions (purity, partitioning,
+// samples) behind the bare spec.Spec interface, modelling a
+// user-defined type that implements nothing else.
+type bareSpec struct{ spec.Spec }
+
+// TestTruncateGracefulDegradation: a spec that implements only
+// spec.Spec truncates when asked. A fold is a replay onto the base
+// state, so no optional extension gates it: epochs complete, entries
+// are freed, and the final value is exact.
 func TestTruncateGracefulDegradation(t *testing.T) {
-	u := New(types.Queue{}, 2)
-	if u.EnableTruncation(4, 0) {
-		t.Fatal("queue has no codec; EnableTruncation should refuse")
+	const n, ops = 2, 100
+	u := New(bareSpec{types.Counter{}}, n)
+	u.EnableTruncation(4)
+	for k := 0; k < ops; k++ {
+		u.Execute(k%n, types.Inc(1))
 	}
-	if u.TruncationEnabled() {
-		t.Fatal("TruncationEnabled should be false")
+	for i := 0; i < 8; i++ {
+		for p := 0; p < n; p++ {
+			u.TruncTick(p)
+		}
 	}
-	if st := u.TruncStats(); st.Phase != "disabled" {
-		t.Fatalf("phase %q, want disabled", st.Phase)
+	if st := u.TruncStats(); st.Epochs == 0 || st.Freed == 0 || st.Phase != "idle" {
+		t.Fatalf("bare spec did not truncate: %+v", st)
 	}
-	u.Execute(0, types.Enq("a"))
-	u.Execute(1, types.Enq("b"))
-	if got := u.Execute(0, types.Deq()); got == nil {
-		t.Fatal("queue stopped answering")
+	if got := u.Execute(0, types.Read()).(int64); got != ops {
+		t.Fatalf("final read %d, want %d", got, ops)
 	}
 }
 
@@ -156,9 +157,7 @@ func TestTruncateEvents(t *testing.T) {
 	st := obs.NewStats(n)
 	u := New(types.Counter{}, n)
 	u.Instrument(st)
-	if !u.EnableTruncation(4, 0) {
-		t.Fatal("counter should be checkpointable")
-	}
+	u.EnableTruncation(4)
 	for k := 0; k < 200; k++ {
 		u.Execute(k%n, types.Inc(1))
 	}
@@ -293,9 +292,7 @@ func TestLinearizerTruncatePrefixError(t *testing.T) {
 func TestTruncateSimIdleTick(t *testing.T) {
 	const n = 3
 	u := NewSimulated(types.Counter{}, n, nil)
-	if !u.EnableTruncation(4, 0) {
-		t.Fatal("counter should be checkpointable")
-	}
+	u.EnableTruncation(4)
 	for k := 0; k < 100; k++ {
 		u.Execute(0, types.Inc(1))
 		if k%5 == 4 {
@@ -328,9 +325,7 @@ func TestTruncateLagBackpressure(t *testing.T) {
 	st := obs.NewStats(n)
 	u := New(types.Counter{}, n)
 	u.Instrument(st)
-	if !u.EnableTruncation(every, 0) {
-		t.Fatal("counter should be checkpointable")
-	}
+	u.EnableTruncation(every)
 	// Slot 1 is starved: it never executes and never ticks. Slot 0
 	// proposes an epoch around op `every` and then keeps completing
 	// operations against the stuck epoch.
@@ -365,23 +360,5 @@ func TestTruncateLagBackpressure(t *testing.T) {
 	}
 	if got := u.Execute(0, types.Read()).(int64); got != 6*every {
 		t.Fatalf("final read %d, want %d", got, 6*every)
-	}
-}
-
-// TestTruncateRetainFloor: with a retain floor far above the workload
-// size no epoch is ever proposed.
-func TestTruncateRetainFloor(t *testing.T) {
-	u := New(types.Counter{}, 1)
-	if !u.EnableTruncation(4, 1<<20) {
-		t.Fatal("counter should be checkpointable")
-	}
-	for k := 0; k < 200; k++ {
-		u.Execute(0, types.Inc(1))
-	}
-	if st := u.TruncStats(); st.Epochs != 0 {
-		t.Fatalf("retain floor ignored: %+v", st)
-	}
-	if got := u.Execute(0, types.Read()).(int64); got != 200 {
-		t.Fatalf("final read %d, want 200", got)
 	}
 }

@@ -24,8 +24,9 @@ type shardLoad struct {
 // contend on routing state — which is exactly the workload the shard
 // layer exists to scale: every shard serves its share of the keys
 // through its own anchor array, so adding shards adds serving
-// capacity instead of deepening one array's slot queues.
-func runShardLoad(n, shards, clients, opsPerClient int) shardLoad {
+// capacity instead of deepening one array's slot queues. If ctx ends
+// first, the clients stop and runShardLoad returns ctx's error.
+func runShardLoad(ctx context.Context, n, shards, clients, opsPerClient int) (shardLoad, error) {
 	sv := shard.New(apram.KCounterSpec{}, n,
 		apram.WithShards(shards), apram.WithBatchCap(8))
 	start := time.Now()
@@ -34,10 +35,12 @@ func runShardLoad(n, shards, clients, opsPerClient int) shardLoad {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			ctx := context.Background()
 			key := fmt.Sprintf("c%d", c)
 			for r := 0; r < opsPerClient; r++ {
 				if _, err := sv.Do(ctx, apram.VInc(key, 1)); err != nil {
+					if ctx.Err() != nil {
+						return
+					}
 					panic("experiments: shard load failed: " + err.Error())
 				}
 			}
@@ -46,8 +49,11 @@ func runShardLoad(n, shards, clients, opsPerClient int) shardLoad {
 	wg.Wait()
 	elapsed := time.Since(start)
 	sv.Close()
+	if err := ctx.Err(); err != nil {
+		return shardLoad{}, err
+	}
 	ops := clients * opsPerClient
-	return shardLoad{ops: ops, opsPerSec: float64(ops) / elapsed.Seconds()}
+	return shardLoad{ops: ops, opsPerSec: float64(ops) / elapsed.Seconds()}, nil
 }
 
 // simShardSteps runs the same keyed drive sequentially on the
@@ -85,6 +91,13 @@ func simShardSteps(n, shards, clients, ops int) (reads, writes float64) {
 // shared-memory overhead to keyed operations, so the throughput win
 // is pure parallelism, not an amortization trade.
 func E20Sharding() Table {
+	t, _ := e20Sharding(context.Background())
+	return t
+}
+
+// e20Sharding is E20Sharding under ctx: if ctx ends during a native
+// arm, it returns the rows measured so far and ctx's error.
+func e20Sharding(ctx context.Context) (Table, error) {
 	const (
 		n            = 4
 		clients      = 16
@@ -104,7 +117,10 @@ func E20Sharding() Table {
 	}
 	var base float64
 	for _, shards := range []int{1, 2, 4} {
-		load := runShardLoad(n, shards, clients, opsPerClient)
+		load, err := runShardLoad(ctx, n, shards, clients, opsPerClient)
+		if err != nil {
+			return t, err
+		}
 		if base == 0 {
 			base = load.opsPerSec
 		}
@@ -121,5 +137,5 @@ func E20Sharding() Table {
 		"and sit at the single-shard closed forms 2(n²−1) and 2(n+1) for every S — the",
 		"row-to-row flatness IS the zero-overhead claim; cross-shard reads (vsum) pay",
 		"extra, which is the documented trade (see DESIGN.md decision 12)")
-	return t
+	return t, nil
 }

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/spec"
 	"repro/internal/types"
@@ -369,8 +371,20 @@ func TestE22TenantIsolation(t *testing.T) {
 // keyed traffic. The native speedup column is wall-clock: it is only
 // asserted (weakly) on hosts with more than one CPU, since a single
 // core time-slices the shards and legitimately flattens it.
+//
+// The run has a time limit of its own, e20Budget. The native arms take
+// under a second on one CPU; where parallel publishers push the
+// incremental linearizer (DESIGN decision 7) into repeated full
+// rebuilds they outlast go test's default timeout, which would abort
+// every later test in the package with this one.
 func TestE20ShardFlatSimCounts(t *testing.T) {
-	tab := E20Sharding()
+	const e20Budget = 2 * time.Minute
+	ctx, cancel := context.WithTimeout(context.Background(), e20Budget)
+	defer cancel()
+	tab, err := e20Sharding(ctx)
+	if err != nil {
+		t.Fatalf("E20 did not finish within %v (%d of 3 rows measured): %v", e20Budget, len(tab.Rows), err)
+	}
 	if len(tab.Rows) != 3 {
 		t.Fatalf("got %d rows, want 3", len(tab.Rows))
 	}

@@ -30,7 +30,9 @@ func (l Vector) NewAccum(v any) any {
 	return out
 }
 
-// Accumulate performs the element-wise maximum-tag join in place.
+// Accumulate performs the element-wise maximum-tag join in place. It
+// returns acc itself, not dst: converting the slice header back to an
+// interface would allocate on every join.
 func (l Vector) Accumulate(acc, x any) any {
 	dst, src := acc.(Vec), x.(Vec)
 	l.check(dst)
@@ -40,7 +42,7 @@ func (l Vector) Accumulate(acc, x any) any {
 			dst[i] = src[i]
 		}
 	}
-	return dst
+	return acc
 }
 
 // Freeze returns the accumulator as the final element; the caller must

@@ -114,15 +114,19 @@ func Build(g *Graph, dom func(i, j int) bool) (*Lin, error) {
 	}
 	// The pairwise pass of Figure 3, in the precedence-consistent
 	// order: for i < j, try to point the dominated one at the
-	// dominator unless that closes a cycle.
+	// dominator unless that closes a cycle. A pair reachability already
+	// relates is skipped before dom is consulted: the dominator edge
+	// would close a cycle, and the reverse one would repeat a path, so
+	// neither changes reach or the topological order.
 	for a := 0; a < g.k; a++ {
 		pi := order[a]
 		for b := a + 1; b < g.k; b++ {
 			pj := order[b]
 			switch {
-			case dom(pi, pj) && !l.reach[pi].has(pj):
+			case l.reach[pi].has(pj) || l.reach[pj].has(pi):
+			case dom(pi, pj):
 				l.addEdge(pj, pi)
-			case dom(pj, pi) && !l.reach[pj].has(pi):
+			case dom(pj, pi):
 				l.addEdge(pi, pj)
 			}
 		}

@@ -118,8 +118,9 @@ func (b batched) Init() State  { return b.base.Init() }
 func (b batched) Equal(x, y State) bool { return b.base.Equal(x, y) }
 func (b batched) Key(s State) string    { return b.base.Key(s) }
 
-// Unwrap exposes the base spec: the batch's state space IS the base
-// state space, so checkpoint codecs (AsCheckpointable) delegate to it.
+// Unwrap exposes the base spec: the batch's state and key space ARE
+// the base spec's, so the partition gate (AsPartitionable) delegates
+// to it.
 func (b batched) Unwrap() Spec { return b.base }
 
 // Apply runs the inner invocations in order and collects their

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -66,9 +67,11 @@ func (c composed) Equal(x, y State) bool {
 	return c.a.Equal(sx.a, sy.a) && c.b.Equal(sx.b, sy.b)
 }
 
+// Key quotes A's key so it is self-delimiting: no component key can
+// forge the boundary, and distinct product states never share a key.
 func (c composed) Key(s State) string {
 	st := s.(composedState)
-	return c.a.Key(st.a) + "||" + c.b.Key(st.b)
+	return strconv.Quote(c.a.Key(st.a)) + c.b.Key(st.b)
 }
 
 // Commutes: cross-object operations always commute; same-object pairs

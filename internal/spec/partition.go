@@ -10,7 +10,7 @@
 // deterministic 2-way split replay must reproduce the unpartitioned
 // object's responses verbatim). Types that fail the gate simply run
 // unsharded (singleton degradation), the same graceful fallback as
-// CheckBatchable and the checkpoint codec.
+// CheckBatchable.
 package spec
 
 import (
@@ -37,6 +37,13 @@ type Partitionable interface {
 	// commutative monoid fold (sum). Mutators with nil responses
 	// return nil.
 	MergeResponses(inv Inv, parts []any) any
+}
+
+// Unwrapper is implemented by derived specs (notably Batch) that
+// delegate their state and key space to a base spec; AsPartitionable
+// follows the chain so a batched keyed type shards like its base.
+type Unwrapper interface {
+	Unwrap() Spec
 }
 
 // AsPartitionable returns the partition contract for s, unwrapping

@@ -141,7 +141,7 @@ func TestCheckPartitionableAccepts(t *testing.T) {
 
 func TestCheckPartitionableUnwrapsBatch(t *testing.T) {
 	// The batched form delegates its key space to the base spec; the
-	// gate must see through it like AsCheckpointable does.
+	// gate must see through it.
 	if _, ok := AsPartitionable(Batch(partCounter{})); !ok {
 		t.Fatalf("AsPartitionable does not unwrap Batch")
 	}

@@ -250,3 +250,34 @@ func TestStateKeysDistinguish(t *testing.T) {
 		}
 	}
 }
+
+// TestStateKeysInjective: element names that contain a separator must
+// not forge another state's key. Each pair below collided under the
+// joined encodings the keys used before they quoted their elements.
+func TestStateKeysInjective(t *testing.T) {
+	for _, c := range []struct {
+		s    spec.Spec
+		a, b spec.State
+	}{
+		{GSet{}, setState{"a,b": {}}, setState{"a": {}, "b": {}}},
+		{KCounter{}, kcState{"a=1;b": 2}, kcState{"a": 1, "b": 2}},
+		{Directory{}, dirState{"a": "1;b=2"}, dirState{"a": "1", "b": "2"}},
+		{Clock{}, lattice.IntMap{"a=1;b": 2}, lattice.IntMap{"a": 1, "b": 2}},
+		{Queue{}, queueState{"a,b"}, queueState{"a", "b"}},
+		{spec.Compose(Register{}, Register{}), regPair("x||", "y"), regPair("x", "||y")},
+	} {
+		if c.s.Equal(c.a, c.b) {
+			t.Fatalf("%s: test states are equal", c.s.Name())
+		}
+		if ka, kb := c.s.Key(c.a), c.s.Key(c.b); ka == kb {
+			t.Errorf("%s: distinct states share the key %q", c.s.Name(), ka)
+		}
+	}
+}
+
+// regPair returns the Compose(Register, Register) state holding a and b.
+func regPair(a, b string) spec.State {
+	st, _ := spec.Replay(spec.Compose(Register{}, Register{}),
+		[]spec.Inv{spec.TagA(Write(a)), spec.TagB(Write(b))})
+	return st
+}

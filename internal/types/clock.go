@@ -2,7 +2,6 @@ package types
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/lattice"
 	"repro/internal/spec"
@@ -55,20 +54,8 @@ func (Clock) Equal(a, b spec.State) bool {
 	return l.Leq(a, b) && l.Leq(b, a)
 }
 
-// Key encodes the state canonically (sorted keys).
-func (Clock) Key(s spec.State) string {
-	m := s.(lattice.IntMap)
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := ""
-	for _, k := range keys {
-		out += fmt.Sprintf("%s=%d;", k, m[k])
-	}
-	return out
-}
+// Key encodes the state canonically and injectively (see mapKey).
+func (Clock) Key(s spec.State) string { return mapKey(s.(lattice.IntMap), appendIntVal) }
 
 // Commutes: merges commute with merges, reads with reads.
 func (Clock) Commutes(p, q spec.Inv) bool {

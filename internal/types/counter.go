@@ -14,6 +14,7 @@ package types
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/spec"
 )
@@ -71,7 +72,7 @@ func (Counter) Apply(s spec.State, inv spec.Inv) (spec.State, any) {
 func (Counter) Equal(a, b spec.State) bool { return a.(int64) == b.(int64) }
 
 // Key encodes the state canonically.
-func (Counter) Key(s spec.State) string { return fmt.Sprint(s.(int64)) }
+func (Counter) Key(s spec.State) string { return strconv.FormatInt(s.(int64), 10) }
 
 // Commutes implements Definition 10 for the counter:
 // inc/dec commute with inc/dec; read commutes with read; reset

@@ -3,7 +3,6 @@ package types
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/spec"
 )
@@ -104,16 +103,8 @@ func (Directory) Equal(a, b spec.State) bool {
 	return true
 }
 
-// Key encodes the state canonically.
-func (Directory) Key(s spec.State) string {
-	m := s.(dirState)
-	parts := make([]string, 0, len(m))
-	for k, v := range m {
-		parts = append(parts, k+"="+v)
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, ";")
-}
+// Key encodes the state canonically and injectively (see mapKey).
+func (Directory) Key(s spec.State) string { return mapKey(s.(dirState), appendStringVal) }
 
 // key returns the key an invocation touches, or "" for getall.
 func dirKey(in spec.Inv) string {

@@ -2,8 +2,6 @@ package types
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"repro/internal/spec"
 )
@@ -106,16 +104,8 @@ func (KCounter) Equal(a, b spec.State) bool {
 	return true
 }
 
-// Key encodes the state canonically.
-func (KCounter) Key(s spec.State) string {
-	m := s.(kcState)
-	parts := make([]string, 0, len(m))
-	for k, v := range m {
-		parts = append(parts, fmt.Sprintf("%s=%d", k, v))
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, ";")
-}
+// Key encodes the state canonically and injectively (see mapKey).
+func (KCounter) Key(s spec.State) string { return mapKey(s.(kcState), appendIntVal) }
 
 // kcKey returns the key an invocation touches, or "" for the
 // cross-key vsum/vzero.

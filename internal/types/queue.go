@@ -2,7 +2,7 @@ package types
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/spec"
 )
@@ -72,8 +72,15 @@ func (Queue) Equal(a, b spec.State) bool {
 	return true
 }
 
-// Key encodes the state canonically.
-func (Queue) Key(s spec.State) string { return strings.Join(s.(queueState), ",") }
+// Key encodes the state injectively: the elements in order, each
+// quoted.
+func (Queue) Key(s spec.State) string {
+	var b []byte
+	for _, e := range s.(queueState) {
+		b = strconv.AppendQuote(b, e)
+	}
+	return string(b)
+}
 
 // Commutes: identical enqueues commute trivially (the two orders are
 // the same history), but nothing else does: the order of distinct

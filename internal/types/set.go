@@ -2,8 +2,7 @@ package types
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/spec"
 )
@@ -61,12 +60,7 @@ func (GSet) Apply(s spec.State, inv spec.Inv) (spec.State, any) {
 	case OpClear:
 		return setState{}, nil
 	case OpMembers:
-		out := make([]string, 0, len(v))
-		for k := range v {
-			out = append(out, k)
-		}
-		sort.Strings(out)
-		return v, out
+		return v, sortedKeys(v)
 	default:
 		panic(fmt.Sprintf("gset: unknown operation %q", inv.Op))
 	}
@@ -86,15 +80,10 @@ func (GSet) Equal(a, b spec.State) bool {
 	return true
 }
 
-// Key encodes the state canonically.
+// Key encodes the state canonically and injectively: the sorted
+// elements, each quoted (see mapKey).
 func (GSet) Key(s spec.State) string {
-	v := s.(setState)
-	keys := make([]string, 0, len(v))
-	for k := range v {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, ",")
+	return mapKey(s.(setState), func(b []byte, _ struct{}) []byte { return b })
 }
 
 // Commutes: adds commute with adds (set union is order-independent),
@@ -173,7 +162,7 @@ func (MaxReg) Apply(s spec.State, inv spec.Inv) (spec.State, any) {
 func (MaxReg) Equal(a, b spec.State) bool { return a.(int64) == b.(int64) }
 
 // Key encodes the state canonically.
-func (MaxReg) Key(s spec.State) string { return fmt.Sprint(s.(int64)) }
+func (MaxReg) Key(s spec.State) string { return strconv.FormatInt(s.(int64), 10) }
 
 // Commutes: writemaxes commute, reads commute.
 func (MaxReg) Commutes(p, q spec.Inv) bool {

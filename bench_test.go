@@ -494,14 +494,16 @@ func BenchmarkLingraphBuild(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			s := types.Counter{}
 			invs := s.SampleInvocations()
-			g := lingraph.NewGraph(k)
+			prec := make([]lingraph.Bits, k)
 			ops := make([]spec.Inv, k)
 			procs := make([]int, k)
 			for i := 0; i < k; i++ {
 				ops[i] = invs[i%len(invs)]
 				procs[i] = i % 4
+				prec[i] = lingraph.NewBits(k)
 				if i >= 4 {
-					g.AddPrecedence(i-4, i)
+					prec[i].Set(i - 4)
+					prec[i].Or(prec[i-4])
 				}
 			}
 			dom := func(i, j int) bool {
@@ -509,7 +511,7 @@ func BenchmarkLingraphBuild(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				l, err := lingraph.Build(g, dom)
+				l, err := lingraph.Build(prec, dom)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -43,14 +43,11 @@ type Entry struct {
 	// strictly greater than the publisher's previous stamp and than
 	// every stamp in the snapshot view the entry was created from. It
 	// is therefore monotone per process (so it doubles as the anchor
-	// cell's lattice tag) and consistent with precedence, which keeps
-	// concurrent publishers' stamps interleaved near the top of the
-	// history — the property the linearization engine's suffix-
-	// compatibility check needs for its fast path to stay the common
-	// case under concurrency. (With plain per-process counters, slots
-	// running at different speeds drift apart and every cross-slot
-	// observation lands below the watermark, forcing a full O(m²)
-	// rebuild per operation.)
+	// cell's lattice tag) and consistent with precedence, so the
+	// linearization engine's (Seq, Proc) rank order is topological, and
+	// concurrent publishers' stamps stay interleaved near the top of the
+	// history, where most new entries land at the end of the cached
+	// order.
 	Proc int
 	Seq  uint64
 	// Inv and Resp are the operation and its chosen response.

@@ -9,6 +9,7 @@ import (
 	"repro/apram/obs"
 	"repro/internal/lingraph"
 	"repro/internal/pram"
+	"repro/internal/sched"
 	"repro/internal/spec"
 	"repro/internal/types"
 )
@@ -16,15 +17,20 @@ import (
 // This file validates the incremental linearization engine against an
 // independent uncached reference: refRespond below is the pre-caching
 // implementation (recursive graph walk, map-based ancestor closures,
-// full Figure 3 build, replay from Init) kept verbatim as an oracle.
-// Every test asserts BOTH identical responses and identical
-// linearization orders — order equality is the stronger property, since
-// two different orders can still agree on one response.
+// full Figure 3 build, replay from Init) kept as an oracle. Every test
+// asserts BOTH identical responses and identical linearization orders —
+// order equality is the stronger property, since two different orders
+// can still agree on one response.
 
-// refRespond is the uncached reference implementation of Respond.
+// refRespond is the uncached reference implementation of Respond. It
+// ranks entries by (Seq, Proc), with Seq raised above every ancestor's
+// where a hand-built history breaks the Lamport rule (the stamps nextSeq
+// issues never need it), so the rank order is topological as
+// lingraph.Build requires.
 func refRespond(t *testing.T, s spec.Spec, view []*Entry, inv spec.Inv) (any, []*Entry) {
 	t.Helper()
 	index := map[*Entry]int{}
+	stamp := map[*Entry]uint64{}
 	var entries []*Entry
 	var visit func(e *Entry)
 	visit = func(e *Entry) {
@@ -35,8 +41,12 @@ func refRespond(t *testing.T, s spec.Spec, view []*Entry, inv spec.Inv) (any, []
 			return
 		}
 		index[e] = -1
+		stamp[e] = e.Seq
 		for _, p := range e.Prev {
 			visit(p)
+			if p != nil && stamp[p] >= stamp[e] {
+				stamp[e] = stamp[p] + 1
+			}
 		}
 		entries = append(entries, e)
 	}
@@ -45,8 +55,8 @@ func refRespond(t *testing.T, s spec.Spec, view []*Entry, inv spec.Inv) (any, []
 	}
 	sort.Slice(entries, func(i, j int) bool {
 		a, b := entries[i], entries[j]
-		if a.Seq != b.Seq {
-			return a.Seq < b.Seq
+		if stamp[a] != stamp[b] {
+			return stamp[a] < stamp[b]
 		}
 		return a.Proc < b.Proc
 	})
@@ -72,13 +82,14 @@ func refRespond(t *testing.T, s spec.Spec, view []*Entry, inv spec.Inv) (any, []
 		}
 		return out
 	}
-	pg := lingraph.NewGraph(len(entries))
-	for _, e := range entries {
+	prec := make([]lingraph.Bits, len(entries))
+	for i, e := range entries {
+		prec[i] = lingraph.NewBits(len(entries))
 		for _, a := range ancOf(e) {
-			pg.AddPrecedence(index[a], index[e])
+			prec[i].Set(index[a])
 		}
 	}
-	l, err := lingraph.Build(pg, func(i, j int) bool {
+	l, err := lingraph.Build(prec, func(i, j int) bool {
 		a, b := entries[i], entries[j]
 		return spec.Dominates(s, a.Inv, a.Proc, b.Inv, b.Proc)
 	})
@@ -165,16 +176,37 @@ func TestExhaustiveIncrementalMatchesReference(t *testing.T) {
 	t.Logf("add‖clear: %d schedules re-validated", leaves)
 }
 
-// TestLinearizerFallbackMatchesReference drives the two fallback
-// triggers deterministically — a new entry below the (Seq, Proc)
-// watermark, and an old non-ancestor entry that dominates a new one —
-// and checks the full-rebuild path against the reference.
+// TestLinearizerFallbackMatchesReference drives the fallback trigger
+// deterministically — an old non-ancestor entry that dominates a new
+// one, whose key sorts below the old entry's in one case and above it
+// in the other — and checks the full-rebuild path against the
+// reference. A key regression without dominance must merge instead.
 func TestLinearizerFallbackMatchesReference(t *testing.T) {
 	s := types.Counter{}
 	const n = 3
 
-	// Key regression: the observer first sees P1's entry, then P0's
-	// concurrent entry whose key (1,0) sorts below the watermark (1,1).
+	// Key regression between increments: the observer first sees P1's
+	// Inc, then P0's concurrent Inc, whose key (1,0) sorts below (1,1).
+	// Inc never overwrites Inc, so the new entry merges in front of the
+	// old one without a rebuild.
+	i1 := &Entry{Proc: 1, Seq: 1, Inv: types.Inc(20), Prev: make([]*Entry, n)}
+	i0 := &Entry{Proc: 0, Seq: 1, Inv: types.Inc(3), Prev: make([]*Entry, n)}
+	l0 := NewLinearizer(s)
+	for _, v := range [][]*Entry{{nil, i1, nil}, {i0, i1, nil}} {
+		resp, hist, err := l0.Respond(v, types.Read())
+		if err != nil {
+			t.Fatal(err)
+		}
+		wr, wh := refRespond(t, s, v, types.Read())
+		assertSameLinearization(t, "inc key regression", resp, wr, hist, wh)
+	}
+	if st := l0.Stats(); st.Rebuilds != 0 || st.Extensions != 2 {
+		t.Fatalf("inc key regression stats %+v, want no rebuild", st)
+	}
+
+	// Key regression under dominance: the observer first sees P1's
+	// Reset, then P0's concurrent Inc, whose key (1,0) sorts below
+	// (1,1). The old Reset is no ancestor of the Inc and dominates it.
 	e1 := &Entry{Proc: 1, Seq: 1, Inv: types.Reset(20), Prev: make([]*Entry, n)}
 	e0 := &Entry{Proc: 0, Seq: 1, Inv: types.Inc(3), Prev: make([]*Entry, n)}
 	l := NewLinearizer(s)
@@ -199,10 +231,9 @@ func TestLinearizerFallbackMatchesReference(t *testing.T) {
 		t.Fatalf("key regression stats %+v, want one rebuild", st)
 	}
 
-	// Dominance violation: the new entry's key (2,0) is above the
-	// watermark (1,1), but the old concurrent reset by the higher
-	// process dominates it — the reference would linearize the new
-	// entry first, so the old order is not a prefix.
+	// Dominance violation: the new entry's key (2,0) is above the old
+	// (1,1), but the old concurrent reset by the higher process
+	// dominates it — the reference would linearize the new entry first.
 	d0 := &Entry{Proc: 0, Seq: 2, Inv: types.Reset(10), Prev: make([]*Entry, n)}
 	l2 := NewLinearizer(s)
 	if _, _, err := l2.Respond(v1, types.Read()); err != nil {
@@ -235,9 +266,12 @@ func TestLinearizerFallbackMatchesReference(t *testing.T) {
 // TestLinearizerRandomHistoriesMatchReference simulates the universal
 // construction's publication protocol sequentially for many mixed
 // operations and checks every call of every process's engine against
-// the reference. Resets give the dominance order real work, and the
-// per-process sequence numbers drift apart enough to exercise both the
-// incremental and the fallback path (asserted).
+// the reference. Each call scans an anchor array up to three
+// publications old (never older than the process's previous scan or its
+// own last entry), so entries run concurrently and Resets give the
+// dominance order real work; the per-process sequence numbers drift
+// apart, so keys arrive out of rank order. Together they exercise both
+// the incremental and the fallback path (asserted).
 func TestLinearizerRandomHistoriesMatchReference(t *testing.T) {
 	const n = 3
 	steps := 250
@@ -246,12 +280,17 @@ func TestLinearizerRandomHistoriesMatchReference(t *testing.T) {
 	}
 	s := types.Counter{}
 	rng := rand.New(rand.NewSource(7))
+	lag := rand.New(rand.NewSource(8))
 	lins := make([]*Linearizer, n)
 	for p := range lins {
 		lins[p] = NewLinearizer(s)
 	}
 	seq := make([]uint64, n)
 	latest := make([]*Entry, n)
+	// snaps[i] is the anchor array after the i-th publication, and
+	// seen[p] the newest one process p has scanned.
+	snaps := [][]*Entry{make([]*Entry, n)}
+	seen := make([]int, n)
 	for i := 0; i < steps; i++ {
 		// Skew process selection so sequence numbers drift.
 		p := 0
@@ -271,7 +310,8 @@ func TestLinearizerRandomHistoriesMatchReference(t *testing.T) {
 		default:
 			inv = types.Read()
 		}
-		view := append([]*Entry(nil), latest...)
+		seen[p] = max(seen[p], len(snaps)-1-lag.Intn(4))
+		view := append([]*Entry(nil), snaps[seen[p]]...)
 		got, hist, err := lins[p].Respond(view, inv)
 		if err != nil {
 			t.Fatalf("step %d: %v", i, err)
@@ -281,6 +321,8 @@ func TestLinearizerRandomHistoriesMatchReference(t *testing.T) {
 		if !spec.IsPure(s, inv) {
 			seq[p]++
 			latest[p] = &Entry{Proc: p, Seq: seq[p], Inv: inv, Resp: got, Prev: view}
+			snaps = append(snaps, append([]*Entry(nil), latest...))
+			seen[p] = len(snaps) - 1
 		}
 	}
 	var ext, reb, miss uint64
@@ -296,6 +338,85 @@ func TestLinearizerRandomHistoriesMatchReference(t *testing.T) {
 	}
 	if miss != 0 {
 		t.Fatalf("checkpoint misses %d with a well-behaved spec", miss)
+	}
+}
+
+// TestInterleavedIncsNeverRebuild steps eight machines with Inc-only
+// scripts under seeded uniform-random and bursty schedulers, whose
+// interleavings deliver parallel publishers' keys out of rank order,
+// and checks every response and linearization against the reference.
+// Inc never overwrites Inc, so no old entry can dominate a new one:
+// every refresh must merge, none may rebuild, and each machine hands
+// Figure 3 exactly the entries it indexes, once. Some merges must land
+// mid-order (a replay from base, so more invocations replayed than
+// indexed), or the sweep would not exercise the out-of-order path.
+func TestInterleavedIncsNeverRebuild(t *testing.T) {
+	const n, ops = 8, 30
+	s := types.Counter{}
+	scripts := make([][]spec.Inv, n)
+	for p := range scripts {
+		for i := 0; i < ops; i++ {
+			scripts[p] = append(scripts[p], types.Inc(1))
+		}
+	}
+	for _, seed := range []int64{1, 2} {
+		for _, sc := range []pram.Scheduler{sched.NewRandom(seed), sched.NewBursty(seed, 8)} {
+			sys, ms := newSimSystem(s, scripts)
+			for _, m := range ms {
+				m.record = true
+			}
+			if err := sys.Run(sc, 0); err != nil {
+				t.Fatal(err)
+			}
+			var indexed, replayed uint64
+			for _, m := range ms {
+				for i := range m.recViews {
+					wantResp, wantHist := refRespond(t, s, m.recViews[i], m.Invocation(i))
+					assertSameLinearization(t, "interleaved incs", m.results[i], wantResp, m.recHists[i], wantHist)
+				}
+				st, idx := m.LinStats(), uint64(0)
+				for q := 0; q < n; q++ {
+					idx += uint64(m.lin.IndexedByProc(q))
+				}
+				if st.Rebuilds != 0 || st.Linearized != idx {
+					t.Fatalf("seed %d %T proc %d: %+v for %d indexed entries, want no rebuild and each entry linearized once",
+						seed, sc, m.proc, st, idx)
+				}
+				indexed, replayed = indexed+idx, replayed+st.Replayed
+			}
+			if replayed <= indexed {
+				t.Fatalf("seed %d %T: replayed %d for %d indexed: no merge landed mid-order", seed, sc, replayed, indexed)
+			}
+		}
+	}
+}
+
+// TestLocalWorkTracksFreshEntries pins the local-work counters: on a
+// round-robin Execute workload every refresh hands Figure 3 and the
+// replay exactly its fresh entries, so each slot's totals equal the
+// entries it indexed, whether the history is 100 or 1000 operations
+// long.
+func TestLocalWorkTracksFreshEntries(t *testing.T) {
+	const n = 4
+	for _, ops := range []int{100, 1000} {
+		u := New(types.Counter{}, n)
+		for i := 0; i < ops; i++ {
+			inv := types.Inc(1)
+			if i%3 == 2 {
+				inv = types.Read()
+			}
+			u.Execute(i%n, inv)
+		}
+		for p := 0; p < n; p++ {
+			st, idx := u.LinStats(p), uint64(0)
+			for q := 0; q < n; q++ {
+				idx += uint64(u.mcs[p].lin.IndexedByProc(q))
+			}
+			if st.Rebuilds != 0 || st.Linearized != idx || st.Replayed != idx {
+				t.Fatalf("%d ops, slot %d: %+v for %d indexed entries, want each linearized and replayed once",
+					ops, p, st, idx)
+			}
+		}
 	}
 }
 

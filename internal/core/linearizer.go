@@ -1,9 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"errors"
-	"math/bits"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/lingraph"
@@ -30,29 +30,29 @@ import (
 //     a generation-stamped visited set;
 //  2. ancestor closures as dense bitsets keyed by a stable node id,
 //     computed by OR-ing the parents' closures;
-//  3. the linearization order, extended by linearizing only the new
-//     entries when they form a suffix-compatible extension (see
-//     suffixCompatible), with a fall-back to a full rebuild otherwise
-//     — fallbacks are counted and surfaced as obs.EvLinRebuild;
+//  3. the linearization order, into which the new entries are merged
+//     by running Figure 3 over them alone (see merge), with a fall-back
+//     to a full rebuild when an old entry outside a new entry's
+//     ancestor closure dominates it — fallbacks are counted and
+//     surfaced as obs.EvLinRebuild;
 //  4. a sequential-replay checkpoint: the spec state at the frontier
 //     of the previous linearization, validated via spec.Key before
-//     reuse, so Respond replays only the linearization's new suffix.
+//     reuse, so Respond replays only the linearization's new suffix
+//     when the new entries land at its end.
 //
 // A Linearizer is owned by one process (one goroutine at a time); the
 // *Entry values it indexes are immutable and shared freely.
 type Linearizer struct {
 	s spec.Spec
 
-	// entries[id] is the entry with stable node id `id`; ids are
-	// assigned in discovery order, which is ancestor-closed (every
-	// entry's ancestors have smaller ids than... not necessarily
-	// smaller ids, but are always assigned before it), so closures can
-	// be built by OR-ing parents.
-	entries []*Entry
-	index   map[*Entry]int32 // entry -> stable node id
-	anc     []bitset         // anc[id] = precedence ancestors of id (stable ids), excluding id
+	// nodes[id] is the entry with stable node id `id`; ids are assigned
+	// in discovery order, which is ancestor-closed (an entry's ancestors
+	// are assigned before it), so closures can be built by OR-ing
+	// parents.
+	nodes []node
+	index map[*Entry]int32 // entry -> stable node id
 
-	// live mirrors len(entries) for Retained, which observers on other
+	// live mirrors len(nodes) for Retained, which observers on other
 	// goroutines (telemetry gauges, samplers) call while the owning
 	// process extends and truncates the index.
 	live atomic.Int64
@@ -62,19 +62,16 @@ type Linearizer struct {
 	gen     uint32
 	visited map[*Entry]uint32
 
-	// maxSeq/maxProc is the maximum (Seq, Proc) key over all indexed
-	// entries — the suffix-compatibility watermark.
-	maxSeq  uint64
-	maxProc int
-
-	// order is the current linearization of all indexed entries; state
-	// is the spec state after replaying it FROM base, and stateKey its
-	// spec.Key at memoization time (checkpoint validation). base is the
-	// folded state of every truncated history prefix (spec.Init() until
-	// the first truncation): replay always starts from base, never from
-	// Init, so folded entries stay part of the object's history after
-	// their *Entry values are freed.
+	// order is the current linearization of all indexed entries and ord
+	// the same as stable ids; state is the spec state after replaying
+	// order FROM base, and stateKey its spec.Key at memoization time
+	// (checkpoint validation). base is the folded state of every
+	// truncated history prefix (spec.Init() until the first
+	// truncation): replay always starts from base, never from Init, so
+	// folded entries stay part of the object's history after their
+	// *Entry values are freed.
 	order    []*Entry
+	ord      []int32
 	state    spec.State
 	stateKey string
 	base     spec.State
@@ -87,28 +84,25 @@ type Linearizer struct {
 	// protocol's fold-readiness watermark (see truncate.go).
 	byProc []int
 
-	// dom memoizes spec.Dominates per entry pair. Dominance depends
-	// only on the two entries' immutable (Inv, Proc), yet a full
-	// rebuild re-asks every pair — O(m²) evaluations each time — and
-	// with batched invocations (apram/serve) a single evaluation costs
-	// O(cap²) base-algebra calls. The memo trades one evaluation per
-	// distinct pair for O(pairs) memory — which is quadratic in the
-	// live set, so it is capped at domMemoCap entries: a scheduling
-	// burst that balloons the graph while a truncation epoch lags
-	// would otherwise turn one rebuild into hundreds of megabytes of
-	// permanently-filtered pairs. Evaluations past the cap simply are
-	// not memoized; dominance stays a pure local computation either
-	// way, so the cap costs CPU on pathological runs, never
-	// correctness.
-	dom map[domPair]bool
-
 	// stats, exposed via Stats.
 	calls, extensions, rebuilds, checkpointMisses uint64
+	linearized, replayed                          uint64
 	truncations, truncated                        uint64
 
 	// incremental disabled forces the full-rebuild path on every call
 	// (the ablation arm of the long-history benchmarks).
 	incremental bool
+}
+
+// node is an indexed entry and what the engine derives from it.
+type node struct {
+	e   *Entry
+	anc lingraph.Bits // precedence ancestors (stable ids), excluding the node
+	// seq is the rank stamp: e.Seq, raised above every ancestor's seq
+	// when a hand-built history breaks the Lamport rule that nextSeq
+	// keeps, so the (seq, Proc) rank order is always topological.
+	seq uint64
+	pos int32 // position in order
 }
 
 // NewLinearizer returns an empty engine for s. A fresh engine used for
@@ -120,30 +114,11 @@ func NewLinearizer(s spec.Spec) *Linearizer {
 		s:           s,
 		index:       map[*Entry]int32{},
 		visited:     map[*Entry]uint32{},
-		dom:         map[domPair]bool{},
 		state:       st,
 		stateKey:    s.Key(st),
 		base:        st,
 		incremental: true,
 	}
-}
-
-type domPair struct{ a, b *Entry }
-
-// domMemoCap bounds the dominance memo (see the dom field comment).
-const domMemoCap = 1 << 18
-
-// dominates is the memoized Definition 14 check for indexed entries.
-func (l *Linearizer) dominates(a, b *Entry) bool {
-	k := domPair{a, b}
-	if v, ok := l.dom[k]; ok {
-		return v
-	}
-	v := spec.Dominates(l.s, a.Inv, a.Proc, b.Inv, b.Proc)
-	if len(l.dom) < domMemoCap {
-		l.dom[k] = v
-	}
-	return v
 }
 
 // SetIncremental toggles the incremental fast path. With incremental
@@ -162,6 +137,12 @@ type LinStats struct {
 	// CheckpointMisses counts replay checkpoints rejected by spec.Key
 	// validation (a spec mutating a supposedly immutable state).
 	CheckpointMisses uint64
+	// Linearized counts entries handed to Figure 3, and Replayed the
+	// invocations applied to bring the replay state to the order's
+	// frontier: the engine's local work, in units that do not depend on
+	// the host.
+	Linearized uint64
+	Replayed   uint64
 	// Truncations counts successful Truncate folds, and Truncated the
 	// total entries those folds freed from this engine's index.
 	Truncations uint64
@@ -175,6 +156,8 @@ func (l *Linearizer) Stats() LinStats {
 		Extensions:       l.extensions,
 		Rebuilds:         l.rebuilds,
 		CheckpointMisses: l.checkpointMisses,
+		Linearized:       l.linearized,
+		Replayed:         l.replayed,
 		Truncations:      l.truncations,
 		Truncated:        l.truncated,
 	}
@@ -216,29 +199,31 @@ func (l *Linearizer) Respond(view []*Entry, inv spec.Inv) (any, []*Entry, error)
 // entry graph (one extra scan's worth of indexing) so a pending fold
 // can complete without waiting for the process's next operation.
 func (l *Linearizer) Refresh(view []*Entry) error {
-	oldN := len(l.entries)
-	fresh := l.extend(view)
-	if l.incremental && l.suffixCompatible(oldN, fresh) {
-		if err := l.extendOrder(fresh); err != nil {
+	oldN := len(l.nodes)
+	l.extend(view)
+	if l.incremental {
+		merged, err := l.merge(oldN)
+		if err != nil {
 			return err
 		}
-		l.extensions++
-	} else {
-		if err := l.rebuild(); err != nil {
-			return err
+		if merged {
+			l.extensions++
+			return nil
 		}
-		l.rebuilds++
 	}
-	l.bumpWatermark(fresh)
+	if err := l.rebuild(); err != nil {
+		return err
+	}
+	l.rebuilds++
 	return nil
 }
 
 // extend indexes every entry reachable from view that is not already
-// indexed, computing its ancestor closure, and returns the new entries
-// in dependency order (ancestors before descendants). The walk is
-// iterative; the generation-stamped visited map keeps a single
-// allocation serving every call.
-func (l *Linearizer) extend(view []*Entry) []*Entry {
+// indexed, computing its ancestor closure and rank stamp. New entries
+// get the ids from the old count up, in dependency order (ancestors
+// before descendants). The walk is iterative; the generation-stamped
+// visited map keeps a single allocation serving every call.
+func (l *Linearizer) extend(view []*Entry) {
 	l.gen++
 	type frame struct {
 		e    *Entry
@@ -258,7 +243,6 @@ func (l *Linearizer) extend(view []*Entry) []*Entry {
 		l.visited[e] = l.gen
 		stack = append(stack, frame{e: e})
 	}
-	var fresh []*Entry
 	// One full stack drain per root: within a drain, every node on the
 	// stack lies on the DFS path to the top, so a Prev pointer back to
 	// an unemitted (still-on-stack) node would be a cycle — excluded by
@@ -279,179 +263,208 @@ func (l *Linearizer) extend(view []*Entry) []*Entry {
 			// closure from the parents'.
 			e := top.e
 			stack = stack[:len(stack)-1]
-			id := int32(len(l.entries))
-			l.entries = append(l.entries, e)
-			l.index[e] = id
-			a := newBitset(len(l.entries))
+			id := len(l.nodes)
+			nd := node{e: e, anc: lingraph.NewBits(id), seq: e.Seq}
 			for _, p := range e.Prev {
 				if p == nil {
 					continue
 				}
 				pid := l.index[p]
-				a.set(int(pid))
-				a.or(l.anc[pid])
+				pn := &l.nodes[pid]
+				nd.anc.Set(int(pid))
+				nd.anc.Or(pn.anc)
+				nd.seq = max(nd.seq, pn.seq+1)
 			}
-			l.anc = append(l.anc, a)
+			l.index[e] = int32(id)
+			l.nodes = append(l.nodes, nd)
 			for e.Proc >= len(l.byProc) {
 				l.byProc = append(l.byProc, 0)
 			}
 			l.byProc[e.Proc]++
-			fresh = append(fresh, e)
 		}
 	}
-	l.live.Store(int64(len(l.entries)))
-	return fresh
+	l.live.Store(int64(len(l.nodes)))
 }
 
-// suffixCompatible reports whether the fresh entries extend the cached
-// linearization exactly: the full-rebuild reference would produce the
-// old order unchanged followed by the new entries. Two conditions:
-//
-//  1. every fresh entry's (Seq, Proc) key is above the watermark, so
-//     the reference's deterministic (Seq, Proc) node ordering — and
-//     with it every index tie-break — is unchanged on the old nodes;
-//  2. no old entry OUTSIDE a fresh entry's ancestor closure dominates
-//     it; such a pair would let the reference linearize the fresh
-//     entry before an old one (a dominance edge new→old), so the old
-//     order would no longer be a prefix.
-//
-// Under these conditions no dominance edge into the old subgraph can
-// appear, old-old pair decisions and reachability are untouched, and
-// the reference's topological tie-breaks pick every old node before
-// any new one — the old linearization is exactly preserved.
-func (l *Linearizer) suffixCompatible(oldN int, fresh []*Entry) bool {
-	if len(fresh) == 0 {
-		return true
-	}
-	for _, e := range fresh {
-		if oldN > 0 && !keyAbove(e, l.maxSeq, l.maxProc) {
-			return false
-		}
-		a := l.anc[l.index[e]]
-		if a.countBelow(oldN) == oldN {
-			continue // every old entry precedes e; nothing can dominate it from outside
-		}
-		for y := 0; y < oldN; y++ {
-			if a.has(y) {
-				continue
-			}
-			o := l.entries[y]
-			if l.dominates(o, e) {
-				return false
+// rank orders stable ids by the reference's deterministic key, (seq,
+// Proc): the order in which Figure 3 visits pairs and breaks ties.
+func (l *Linearizer) rank(a, b int32) int {
+	x, y := &l.nodes[a], &l.nodes[b]
+	return cmp.Or(cmp.Compare(x.seq, y.seq), cmp.Compare(x.e.Proc, y.e.Proc))
+}
+
+// dominates is Definition 14 on two indexed entries.
+func (l *Linearizer) dominates(a, b *Entry) bool {
+	return spec.Dominates(l.s, a.Inv, a.Proc, b.Inv, b.Proc)
+}
+
+// figure3 runs Figure 3 over the nodes ids, which must be in rank
+// order, handing lingraph their closures renumbered by position in ids.
+func (l *Linearizer) figure3(ids []int32) (*lingraph.Lin, error) {
+	prec := make([]lingraph.Bits, len(ids))
+	for r, id := range ids {
+		prec[r] = lingraph.NewBits(r)
+		for q, a := range ids[:r] {
+			if l.nodes[id].anc.Has(int(a)) {
+				prec[r].Set(q)
 			}
 		}
 	}
-	return true
-}
-
-// keyAbove reports (e.Seq, e.Proc) > (seq, proc) lexicographically.
-func keyAbove(e *Entry, seq uint64, proc int) bool {
-	return e.Seq > seq || (e.Seq == seq && e.Proc > proc)
-}
-
-// bumpWatermark raises the (Seq, Proc) watermark over fresh entries.
-func (l *Linearizer) bumpWatermark(fresh []*Entry) {
-	for _, e := range fresh {
-		if keyAbove(e, l.maxSeq, l.maxProc) {
-			l.maxSeq, l.maxProc = e.Seq, e.Proc
-		}
-	}
-}
-
-// extendOrder runs the Figure 3 construction over the fresh entries
-// only and appends the result to the cached linearization, advancing
-// the replay checkpoint by the suffix. Dominance edges from old to
-// fresh entries need no representation: they only reiterate that old
-// entries linearize first, which suffix-compatibility already
-// guarantees, and they cannot influence the relative order of the
-// fresh entries (no path leaves the old subgraph through them).
-func (l *Linearizer) extendOrder(fresh []*Entry) error {
-	if len(fresh) == 0 {
-		l.checkpoint(nil)
-		return nil
-	}
-	batch := append([]*Entry(nil), fresh...)
-	sortEntries(batch)
-	ids := make([]int32, len(batch))
-	for j, e := range batch {
-		ids[j] = l.index[e]
-	}
-	pg := lingraph.NewGraph(len(batch))
-	for j := range batch {
-		aj := l.anc[ids[j]]
-		for i := range batch {
-			if i != j && aj.has(int(ids[i])) {
-				pg.AddPrecedence(i, j)
-			}
-		}
-	}
-	lin, err := lingraph.Build(pg, func(i, j int) bool {
-		return l.dominates(batch[i], batch[j])
+	l.linearized += uint64(len(ids))
+	return lingraph.Build(prec, func(i, j int) bool {
+		return l.dominates(l.nodes[ids[i]].e, l.nodes[ids[j]].e)
 	})
+}
+
+// merge places the entries indexed since oldN (the fresh set F) into
+// the cached order of the old set O and reports whether it could. It
+// cannot when an old entry outside a fresh entry's ancestor closure
+// dominates it; otherwise the result is exactly the order a full
+// rebuild would produce (DESIGN decision 7 has the proof). Without such
+// a pair L(O ∪ F) has no edge from F to O, so:
+//
+//   - old pairs keep their Figure 3 decisions and reachability, and old
+//     entries keep their cached order, since none has a fresh
+//     predecessor;
+//   - fresh pairs get exactly Figure 3 over F alone, since no path
+//     between two fresh entries leaves F;
+//   - Kahn's rule over the union (lowest rank first among ready nodes)
+//     therefore interleaves the two: at each step the candidates are
+//     the next old entry and the lowest-ranked ready fresh one, where a
+//     fresh entry is ready once its predecessors in L(F) are placed and
+//     the old order has passed its old parents and the old entries it
+//     dominates.
+//
+// When every fresh entry lands after the last old one, the replay
+// resumes from the frontier checkpoint; otherwise it restarts from base.
+func (l *Linearizer) merge(oldN int) (bool, error) {
+	nf := len(l.nodes) - oldN
+	m := int32(len(l.ord))
+	if nf == 0 {
+		l.sync(len(l.order))
+		return true, nil
+	}
+	fr := make([]int32, nf) // fresh ids in rank order
+	for j := range fr {
+		fr[j] = int32(oldN + j)
+	}
+	slices.SortFunc(fr, l.rank)
+	// after[c] is the last old position fresh entry fr[c] must follow.
+	after := make([]int32, nf)
+	start := m
+	for c, id := range fr {
+		f, a, dominated := l.nodes[id].e, int32(-1), false
+		for _, p := range f.Prev {
+			if pid, ok := l.index[p]; ok && int(pid) < oldN {
+				a = max(a, l.nodes[pid].pos)
+			}
+		}
+		l.nodes[id].anc.Missing(oldN, func(y int) {
+			o := l.nodes[y].e
+			if l.dominates(o, f) {
+				dominated = true
+			} else if l.dominates(f, o) {
+				a = max(a, l.nodes[y].pos)
+			}
+		})
+		if dominated {
+			return false, nil
+		}
+		after[c] = a
+		start = min(start, a+1)
+	}
+	lin, err := l.figure3(fr)
 	if err != nil {
-		return err
+		return false, err
 	}
-	suffix := make([]*Entry, 0, len(batch))
-	for _, idx := range lin.Order() {
-		suffix = append(suffix, batch[idx])
+	left := make([]int, nf) // unplaced predecessors in L(F); -1 once placed
+	for v := range left {
+		for u := range left {
+			if lin.HasPath(u, v) {
+				left[v]++
+			}
+		}
 	}
-	l.order = append(l.order, suffix...)
-	l.checkpoint(suffix)
-	return nil
+	tail := make([]int32, 0, int(m-start)+nf)
+	i, moved := start, false
+	for placed := 0; placed < nf; {
+		c := 0
+		for c < nf && (left[c] != 0 || after[c] >= i) {
+			c++
+		}
+		if c == nf || (i < m && l.rank(l.ord[i], fr[c]) < 0) {
+			tail = append(tail, l.ord[i])
+			i++
+			continue
+		}
+		moved = moved || i < m
+		left[c] = -1
+		placed++
+		tail = append(tail, fr[c])
+		for v := range left {
+			if lin.HasPath(c, v) {
+				left[v]--
+			}
+		}
+	}
+	tail = append(tail, l.ord[i:]...)
+	l.ord, l.order = append(l.ord[:start], tail...), l.order[:start]
+	for p := int(start); p < len(l.ord); p++ {
+		nd := &l.nodes[l.ord[p]]
+		nd.pos = int32(p)
+		l.order = append(l.order, nd.e)
+	}
+	if moved {
+		l.sync(0)
+	} else {
+		l.sync(int(m))
+	}
+	return true, nil
 }
 
 // rebuild recomputes the linearization of every indexed entry from
 // scratch — the reference (uncached) computation, reusing only the
-// entry index and the ancestor bitsets (both independent of order).
+// entry index and the ancestor closures (both independent of order).
 func (l *Linearizer) rebuild() error {
-	k := len(l.entries)
-	sorted := append([]*Entry(nil), l.entries...)
-	sortEntries(sorted)
-	rankOf := make([]int32, k) // stable id -> canonical rank
-	for r, e := range sorted {
-		rankOf[l.index[e]] = int32(r)
+	ids := make([]int32, len(l.nodes))
+	for i := range ids {
+		ids[i] = int32(i)
 	}
-	pg := lingraph.NewGraph(k)
-	for r, e := range sorted {
-		l.anc[l.index[e]].each(func(aid int) {
-			pg.AddPrecedence(int(rankOf[aid]), r)
-		})
-	}
-	lin, err := lingraph.Build(pg, func(i, j int) bool {
-		return l.dominates(sorted[i], sorted[j])
-	})
+	slices.SortFunc(ids, l.rank)
+	lin, err := l.figure3(ids)
 	if err != nil {
 		return err
 	}
-	l.order = l.order[:0]
-	invs := make([]spec.Inv, 0, k)
-	for _, idx := range lin.Order() {
-		l.order = append(l.order, sorted[idx])
-		invs = append(invs, sorted[idx].Inv)
+	l.ord, l.order = l.ord[:0], l.order[:0]
+	for p, r := range lin.Order() {
+		nd := &l.nodes[ids[r]]
+		nd.pos = int32(p)
+		l.ord = append(l.ord, ids[r])
+		l.order = append(l.order, nd.e)
 	}
-	st, _ := spec.ReplayFrom(l.s, l.base, invs)
-	l.state, l.stateKey = st, l.s.Key(st)
+	l.sync(0)
 	return nil
 }
 
-// checkpoint advances the replay checkpoint by the linearization's new
-// suffix. The cached state is validated through spec.Key first: if a
-// spec violated immutability and the memoized state drifted from its
-// recorded key, the checkpoint is discarded and the state recomputed
-// from the base state (counted as a checkpoint miss).
-func (l *Linearizer) checkpoint(suffix []*Entry) {
-	if l.s.Key(l.state) != l.stateKey {
+// sync brings the replay state to the end of the order, applying
+// order[from:] to the cached state, which covers order[:from], or to
+// base when from is 0. A reused state is validated through spec.Key
+// first: if a spec violated immutability and the memoized state drifted
+// from its recorded key, the replay restarts from base (counted as a
+// checkpoint miss).
+func (l *Linearizer) sync(from int) {
+	st := l.state
+	if from == 0 {
+		st = l.base
+	} else if l.s.Key(st) != l.stateKey {
 		l.checkpointMisses++
-		st := l.base
-		for _, e := range l.order[:len(l.order)-len(suffix)] {
-			st, _ = l.s.Apply(st, e.Inv)
-		}
-		l.state = st
+		from, st = 0, l.base
 	}
-	for _, e := range suffix {
-		l.state, _ = l.s.Apply(l.state, e.Inv)
+	for _, e := range l.order[from:] {
+		st, _ = l.s.Apply(st, e.Inv)
 	}
-	l.stateKey = l.s.Key(l.state)
+	l.replayed += uint64(len(l.order) - from)
+	l.state, l.stateKey = st, l.s.Key(st)
 }
 
 // ErrTruncatePrefix reports that the entries at or below the proposed
@@ -477,8 +490,8 @@ var ErrTruncatePrefix = errors.New("core: watermark entries are not a linearizat
 // On success it returns the number of entries freed and the surviving
 // entries whose Prev arrays still point into the fold set (the cut
 // boundary — the protocol nils those pointers once every engine has
-// folded). The linearization order, frontier state, and watermark are
-// unchanged: replaying order from the new base is, by determinism,
+// folded). The linearization order and frontier state are unchanged:
+// replaying order from the new base is, by determinism,
 // indistinguishable from replaying the full history from Init.
 func (l *Linearizer) Truncate(w uint64) (removed int, boundary []*Entry, err error) {
 	k := 0
@@ -507,59 +520,47 @@ func (l *Linearizer) Truncate(w uint64) (removed int, boundary []*Entry, err err
 	// relative id order, so closures remap bit-by-bit with fold-set
 	// bits dropped: the fold set is ancestor-closed (Seq is monotone
 	// along Prev chains), so no survivor↔survivor precedence path
-	// routes through it and dropping the bits loses no ordering.
-	idMap := make([]int32, len(l.entries))
-	survivors := make([]*Entry, 0, len(l.entries)-k)
-	for oldID, e := range l.entries {
-		if e.Seq <= w {
+	// routes through it and dropping the bits loses no ordering. The
+	// survivors are order[k:], so their positions drop by k.
+	idMap := make([]int32, len(l.nodes))
+	survivors := make([]node, 0, len(l.nodes)-k)
+	for oldID, nd := range l.nodes {
+		if nd.e.Seq <= w {
 			idMap[oldID] = -1
 			continue
 		}
 		idMap[oldID] = int32(len(survivors))
-		survivors = append(survivors, e)
+		survivors = append(survivors, nd)
 	}
 	newIndex := make(map[*Entry]int32, len(survivors))
-	newAnc := make([]bitset, len(survivors))
-	for newID, e := range survivors {
-		old := l.anc[l.index[e]]
-		nb := newBitset(len(survivors))
-		old.each(func(i int) {
+	for newID := range survivors {
+		nd := &survivors[newID]
+		nb := lingraph.NewBits(newID)
+		nd.anc.Each(func(i int) {
 			if m := idMap[i]; m >= 0 {
-				nb.set(int(m))
+				nb.Set(int(m))
 			}
 		})
-		newIndex[e] = int32(newID)
-		newAnc[newID] = nb
-		for _, p := range e.Prev {
+		nd.anc, nd.pos = nb, nd.pos-int32(k)
+		newIndex[nd.e] = int32(newID)
+		for _, p := range nd.e.Prev {
 			if p != nil && p.Seq <= w {
-				boundary = append(boundary, e)
+				boundary = append(boundary, nd.e)
 				break
 			}
 		}
 	}
-	// Fresh order backing array: the old one keeps fold-set pointers
-	// alive past the cut otherwise.
+	// Fresh order backing arrays: the old ones keep fold-set pointers
+	// alive past the cut otherwise. The visited map is rebuilt for the
+	// same reason (its keys are freed entries), and so that a Go map's
+	// never-shrinking bucket array does not keep a backlog spike's size.
 	newOrder := make([]*Entry, len(l.order)-k)
 	copy(newOrder, l.order[k:])
-	// The dominance memo survives filtered to surviving pairs — into a
-	// fresh map, never by deleting in place: a Go map's bucket array
-	// never shrinks, so after a backlog spike (the live set inflated
-	// while an epoch lagged behind a stalled process) in-place pruning
-	// would leave every subsequent epoch iterating — and the engine
-	// retaining — the peak-sized table forever. The visited map is
-	// rebuilt for the same reason (and its keys are freed entries).
-	newDom := make(map[domPair]bool, 2*len(survivors))
-	for kp, v := range l.dom {
-		if _, ok := newIndex[kp.a]; !ok {
-			continue
-		}
-		if _, ok := newIndex[kp.b]; !ok {
-			continue
-		}
-		newDom[kp] = v
+	newOrd := make([]int32, len(newOrder))
+	for i, id := range l.ord[k:] {
+		newOrd[i] = idMap[id]
 	}
-	l.dom = newDom
-	l.entries, l.index, l.anc, l.order = survivors, newIndex, newAnc, newOrder
+	l.nodes, l.index, l.order, l.ord = survivors, newIndex, newOrder, newOrd
 	l.live.Store(int64(len(survivors)))
 	l.visited = map[*Entry]uint32{}
 	l.gen = 0
@@ -567,69 +568,4 @@ func (l *Linearizer) Truncate(w uint64) (removed int, boundary []*Entry, err err
 	l.truncations++
 	l.truncated += uint64(k)
 	return k, boundary, nil
-}
-
-// sortEntries orders entries by the reference's deterministic key.
-func sortEntries(es []*Entry) {
-	sort.Slice(es, func(i, j int) bool {
-		a, b := es[i], es[j]
-		if a.Seq != b.Seq {
-			return a.Seq < b.Seq
-		}
-		return a.Proc < b.Proc
-	})
-}
-
-// bitset is a growable bit vector over stable node ids.
-type bitset []uint64
-
-func newBitset(k int) bitset { return make(bitset, (k+63)/64) }
-
-func (b bitset) has(i int) bool {
-	w := i / 64
-	return w < len(b) && b[w]&(1<<(i%64)) != 0
-}
-
-func (b *bitset) set(i int) {
-	w := i / 64
-	for len(*b) <= w {
-		*b = append(*b, 0)
-	}
-	(*b)[w] |= 1 << (i % 64)
-}
-
-// or folds o into b (b grows to cover o).
-func (b *bitset) or(o bitset) {
-	for len(*b) < len(o) {
-		*b = append(*b, 0)
-	}
-	for i, w := range o {
-		(*b)[i] |= w
-	}
-}
-
-// countBelow counts set bits with index < n.
-func (b bitset) countBelow(n int) int {
-	full := n / 64
-	if full > len(b) {
-		full = len(b)
-	}
-	c := 0
-	for _, w := range b[:full] {
-		c += bits.OnesCount64(w)
-	}
-	if rem := n % 64; rem > 0 && full == n/64 && full < len(b) {
-		c += bits.OnesCount64(b[full] & (1<<rem - 1))
-	}
-	return c
-}
-
-// each calls f for every set bit, ascending.
-func (b bitset) each(f func(i int)) {
-	for wi, w := range b {
-		for w != 0 {
-			f(wi*64 + bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
 }

@@ -9,139 +9,134 @@
 // (Definition 19); Lemma 20 guarantees all such linearizations are
 // equivalent.
 //
-// Nodes are dense indices 0..K-1; the caller keeps its own mapping to
-// operations and supplies the dominance relation as a callback, which
-// keeps this package independent of any particular specification.
+// Nodes are dense indices 0..K-1 numbered in a topological order of
+// the precedence relation (the rank order), and the precedence graph
+// is given as each node's ancestor closure, so the pairwise pass visits
+// pairs in rank order and needs no sort of its own. The caller keeps
+// its own mapping to operations and supplies the dominance relation as
+// a callback, which keeps this package independent of any particular
+// specification.
 package lingraph
 
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 )
 
-// Graph is a precedence graph under construction.
-type Graph struct {
-	k   int
-	out [][]int // direct precedence edges i -> j (i precedes j)
-}
+// Bits is a bit set over node indices. Reads past its end see zeros.
+type Bits []uint64
 
-// NewGraph returns an empty precedence graph on k nodes.
-func NewGraph(k int) *Graph {
-	return &Graph{k: k, out: make([][]int, k)}
-}
+// NewBits returns an empty set with room for indices below k.
+func NewBits(k int) Bits { return make(Bits, (k+63)/64) }
 
-// K returns the node count.
-func (g *Graph) K() int { return g.k }
+// Set adds i, which must lie below the set's capacity.
+func (b Bits) Set(i int) { b[i/64] |= 1 << (i % 64) }
 
-// AddPrecedence records that node i precedes node j.
-func (g *Graph) AddPrecedence(i, j int) {
-	g.check(i)
-	g.check(j)
-	if i == j {
-		panic("lingraph: self-precedence")
-	}
-	g.out[i] = append(g.out[i], j)
-}
+// Has reports whether i is in the set.
+func (b Bits) Has(i int) bool { w := i / 64; return w < len(b) && b[w]&(1<<(i%64)) != 0 }
 
-func (g *Graph) check(i int) {
-	if i < 0 || i >= g.k {
-		panic(fmt.Sprintf("lingraph: node %d out of range [0,%d)", i, g.k))
+// Or folds o, which must be no longer than b, into b.
+func (b Bits) Or(o Bits) {
+	for i, w := range o {
+		b[i] |= w
 	}
 }
 
-// bitset is a fixed-size bit vector over node indices.
-type bitset []uint64
-
-func newBitset(k int) bitset { return make(bitset, (k+63)/64) }
-
-func (b bitset) set(i int)      { b[i/64] |= 1 << (i % 64) }
-func (b bitset) has(i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
-
-func (b bitset) or(o bitset) {
-	for i := range b {
-		b[i] |= o[i]
+// Each calls f for every member, ascending.
+func (b Bits) Each(f func(i int)) {
+	for wi, w := range b {
+		for ; w != 0; w &= w - 1 {
+			f(wi*64 + bits.TrailingZeros64(w))
+		}
 	}
 }
 
-func (b bitset) count() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
+// Missing calls f for every index below n that is not a member,
+// ascending.
+func (b Bits) Missing(n int, f func(i int)) {
+	for wi := 0; wi*64 < n; wi++ {
+		w := ^uint64(0)
+		if wi < len(b) {
+			w = ^b[wi]
+		}
+		if r := n - wi*64; r < 64 {
+			w &= 1<<r - 1
+		}
+		for ; w != 0; w &= w - 1 {
+			f(wi*64 + bits.TrailingZeros64(w))
+		}
 	}
-	return n
+}
+
+// above reports whether the set has a member at or above i.
+func (b Bits) above(i int) bool {
+	for wi := i / 64; wi < len(b); wi++ {
+		w := b[wi]
+		if wi == i/64 {
+			w >>= i % 64
+		}
+		if w != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Lin is a linearization graph L(G): the precedence graph plus the
-// maximal acyclic set of dominance edges.
+// maximal acyclic set of dominance edges, kept as ancestor closures.
 type Lin struct {
-	k     int
-	out   [][]int  // combined edge lists
-	reach []bitset // reach[i] = nodes reachable from i, including i
-	prec  []bitset // reachability over precedence edges only
+	k    int
+	anc  []Bits // anc[v] = nodes with a path to v in L(G)
+	prec []Bits // precedence-only closures, as given to Build
 }
 
-// Build runs the Figure 3 construction. dom(i, j) must report whether
-// node i's operation dominates node j's (Definition 14); it is
-// consulted only for pairs not related by precedence. Build returns an
-// error if the precedence graph is cyclic.
-func Build(g *Graph, dom func(i, j int) bool) (*Lin, error) {
-	order, err := topoOrder(g.k, g.out)
-	if err != nil {
-		return nil, err
-	}
-	l := &Lin{
-		k:     g.k,
-		out:   make([][]int, g.k),
-		reach: make([]bitset, g.k),
-		prec:  make([]bitset, g.k),
-	}
-	for i := 0; i < g.k; i++ {
-		l.out[i] = append([]int(nil), g.out[i]...)
-		l.reach[i] = newBitset(g.k)
-		l.reach[i].set(i)
-	}
-	// Seed reachability from the precedence DAG in reverse topological
-	// order, then snapshot it as the precedence-only relation.
-	for idx := g.k - 1; idx >= 0; idx-- {
-		u := order[idx]
-		for _, v := range g.out[u] {
-			l.reach[u].or(l.reach[v])
+// Build runs the Figure 3 construction over len(prec) nodes. prec[j]
+// is node j's precedence-ancestor closure: every node that precedes j,
+// directly or transitively. It may name only nodes below j, which is
+// what makes the numbering a topological order; Build returns an error
+// for a closure naming j itself, a later node or one out of range (a
+// cyclic precedence graph has no such numbering). dom(i, j) must report
+// whether node i's operation dominates node j's (Definition 14); it is
+// consulted only for pairs reachability has not already related. Build
+// keeps prec, which the caller must not modify afterwards.
+func Build(prec []Bits, dom func(i, j int) bool) (*Lin, error) {
+	k := len(prec)
+	l := &Lin{k: k, anc: make([]Bits, k), prec: prec}
+	for j, a := range prec {
+		if a.above(j) {
+			return nil, fmt.Errorf("lingraph: closure of node %d names node %d or later", j, j)
 		}
+		l.anc[j] = NewBits(k)
+		copy(l.anc[j], a)
 	}
-	for i := 0; i < g.k; i++ {
-		l.prec[i] = append(bitset(nil), l.reach[i]...)
-	}
-	// The pairwise pass of Figure 3, in the precedence-consistent
-	// order: for i < j, try to point the dominated one at the
-	// dominator unless that closes a cycle. A pair reachability already
-	// relates is skipped before dom is consulted: the dominator edge
-	// would close a cycle, and the reverse one would repeat a path, so
-	// neither changes reach or the topological order.
-	for a := 0; a < g.k; a++ {
-		pi := order[a]
-		for b := a + 1; b < g.k; b++ {
-			pj := order[b]
+	// The pairwise pass of Figure 3, in rank order: for i < j, try to
+	// point the dominated one at the dominator unless that closes a
+	// cycle. A pair reachability already relates is skipped before dom
+	// is consulted: the dominator edge would close a cycle, and the
+	// reverse one would repeat a path, so neither changes reachability
+	// or the topological order.
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
 			switch {
-			case l.reach[pi].has(pj) || l.reach[pj].has(pi):
-			case dom(pi, pj):
-				l.addEdge(pj, pi)
-			case dom(pj, pi):
-				l.addEdge(pi, pj)
+			case l.anc[j].Has(i) || l.anc[i].Has(j):
+			case dom(i, j):
+				l.addEdge(j, i)
+			case dom(j, i):
+				l.addEdge(i, j)
 			}
 		}
 	}
 	return l, nil
 }
 
-// addEdge inserts u→v and updates reachability: every node that
-// reaches u now also reaches everything v reaches.
+// addEdge inserts u→v and updates reachability: v and everything v
+// reaches are now reached by u and everything that reaches u.
 func (l *Lin) addEdge(u, v int) {
-	l.out[u] = append(l.out[u], v)
-	rv := l.reach[v]
+	au := l.anc[u]
 	for w := 0; w < l.k; w++ {
-		if w == u || l.reach[w].has(u) {
-			l.reach[w].or(rv)
+		if w == v || l.anc[w].Has(v) {
+			l.anc[w].Or(au)
+			l.anc[w].Set(u)
 		}
 	}
 }
@@ -150,11 +145,11 @@ func (l *Lin) addEdge(u, v int) {
 func (l *Lin) K() int { return l.k }
 
 // HasPath reports whether v is reachable from u in L(G) (u ⇒ v).
-func (l *Lin) HasPath(u, v int) bool { return u != v && l.reach[u].has(v) }
+func (l *Lin) HasPath(u, v int) bool { return u != v && l.anc[v].Has(u) }
 
 // Precedes reports the transitive real-time precedence of the
 // underlying graph.
-func (l *Lin) Precedes(u, v int) bool { return u != v && l.prec[u].has(v) }
+func (l *Lin) Precedes(u, v int) bool { return u != v && l.prec[v].Has(u) }
 
 // Concurrent reports that neither node precedes the other.
 func (l *Lin) Concurrent(u, v int) bool {
@@ -168,83 +163,34 @@ func (l *Lin) Unrelated(u, v int) bool {
 }
 
 // Order returns a deterministic topological sort of L(G): among ready
-// nodes, the lowest index first. This is a linearization in the sense
-// of Definition 19.
+// nodes, the lowest index first (Kahn's rule over the closures, where a
+// node is ready once every node reaching it is placed). This is a
+// linearization in the sense of Definition 19.
 func (l *Lin) Order() []int {
-	indeg := make([]int, l.k)
-	for _, vs := range l.out {
-		for _, v := range vs {
-			indeg[v]++
+	left := make([]int, l.k) // unplaced nodes reaching v; -1 once v is placed
+	for v, a := range l.anc {
+		for _, w := range a {
+			left[v] += bits.OnesCount64(w)
 		}
 	}
-	var ready []int
-	for i := 0; i < l.k; i++ {
-		if indeg[i] == 0 {
-			ready = append(ready, i)
-		}
-	}
-	sort.Ints(ready)
 	out := make([]int, 0, l.k)
-	for len(ready) > 0 {
-		u := ready[0]
-		ready = ready[1:]
+	for len(out) < l.k {
+		u := 0
+		for u < l.k && left[u] != 0 {
+			u++
+		}
+		if u == l.k {
+			// Lemma 18 says this cannot happen; a cycle here is a bug in
+			// the construction itself.
+			panic("lingraph: linearization graph contains a cycle")
+		}
+		left[u] = -1
 		out = append(out, u)
-		var woke []int
-		for _, v := range l.out[u] {
-			indeg[v]--
-			if indeg[v] == 0 {
-				woke = append(woke, v)
+		for v := range l.anc {
+			if l.anc[v].Has(u) {
+				left[v]--
 			}
 		}
-		if len(woke) > 0 {
-			ready = append(ready, woke...)
-			sort.Ints(ready)
-		}
-	}
-	if len(out) != l.k {
-		// Lemma 18 says this cannot happen; a cycle here is a bug in
-		// the construction itself.
-		panic("lingraph: linearization graph contains a cycle")
 	}
 	return out
-}
-
-// topoOrder returns a deterministic topological order of the
-// precedence DAG (lowest index first among ready nodes), or an error
-// if the graph is cyclic.
-func topoOrder(k int, out [][]int) ([]int, error) {
-	indeg := make([]int, k)
-	for _, vs := range out {
-		for _, v := range vs {
-			indeg[v]++
-		}
-	}
-	var ready []int
-	for i := 0; i < k; i++ {
-		if indeg[i] == 0 {
-			ready = append(ready, i)
-		}
-	}
-	sort.Ints(ready)
-	order := make([]int, 0, k)
-	for len(ready) > 0 {
-		u := ready[0]
-		ready = ready[1:]
-		order = append(order, u)
-		var woke []int
-		for _, v := range out[u] {
-			indeg[v]--
-			if indeg[v] == 0 {
-				woke = append(woke, v)
-			}
-		}
-		if len(woke) > 0 {
-			ready = append(ready, woke...)
-			sort.Ints(ready)
-		}
-	}
-	if len(order) != k {
-		return nil, fmt.Errorf("lingraph: precedence graph is cyclic")
-	}
-	return order, nil
 }

@@ -2,6 +2,7 @@ package lingraph
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/spec"
@@ -15,62 +16,89 @@ import (
 type interval struct{ start, end int }
 
 // randomCase generates k counter operations with random intervals and
-// processes, returning the precedence graph and a dominance callback
+// processes, returning the precedence closures and a dominance callback
 // derived from the real Definition 14 relation.
-func randomCase(rng *rand.Rand, k int) (*Graph, func(i, j int) bool, []interval) {
+func randomCase(rng *rand.Rand, k int) ([]Bits, func(i, j int) bool, []interval) {
 	s := types.Counter{}
 	invs := s.SampleInvocations()
 	ops := make([]spec.Inv, k)
 	procs := make([]int, k)
-	ivs := make([]interval, k)
-	g := NewGraph(k)
 	for i := 0; i < k; i++ {
 		ops[i] = invs[rng.Intn(len(invs))]
 		procs[i] = rng.Intn(4)
-		start := rng.Intn(40)
-		ivs[i] = interval{start, start + 1 + rng.Intn(10)}
 	}
-	for i := 0; i < k; i++ {
-		for j := 0; j < k; j++ {
-			if ivs[i].end < ivs[j].start {
-				g.AddPrecedence(i, j)
-			}
-		}
-	}
+	ivs := randomIntervals(rng, k, 40, 10)
 	dom := func(i, j int) bool {
 		return spec.Dominates(s, ops[i], procs[i], ops[j], procs[j])
 	}
-	return g, dom, ivs
+	return intervalClosures(ivs), dom, ivs
+}
+
+// randomIntervals returns k random intervals sorted by start, so
+// precedence (one interval ending before another starts) always runs
+// from a lower index to a higher one: a topological numbering.
+func randomIntervals(rng *rand.Rand, k, span, maxLen int) []interval {
+	ivs := make([]interval, k)
+	for i := range ivs {
+		start := rng.Intn(span)
+		ivs[i] = interval{start, start + 1 + rng.Intn(maxLen)}
+	}
+	sort.Slice(ivs, func(a, b int) bool { return ivs[a].start < ivs[b].start })
+	return ivs
+}
+
+// intervalClosures returns each interval's precedence closure: the
+// intervals that end before it starts.
+func intervalClosures(ivs []interval) []Bits {
+	prec := make([]Bits, len(ivs))
+	for j := range ivs {
+		prec[j] = NewBits(len(ivs))
+		for i := 0; i < j; i++ {
+			if ivs[i].end < ivs[j].start {
+				prec[j].Set(i)
+			}
+		}
+	}
+	return prec
+}
+
+// closures builds k closures from (ancestor, node) pairs.
+func closures(k int, pairs ...[2]int) []Bits {
+	prec := make([]Bits, k)
+	for j := range prec {
+		prec[j] = NewBits(k + 1)
+	}
+	for _, p := range pairs {
+		prec[p[1]].Set(p[0])
+	}
+	return prec
 }
 
 func TestChainPrecedenceOrder(t *testing.T) {
-	g := NewGraph(3)
-	g.AddPrecedence(2, 1)
-	g.AddPrecedence(1, 0)
-	l, err := Build(g, func(i, j int) bool { return false })
+	l, err := Build(chain(3), func(i, j int) bool { return false })
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := l.Order()
-	want := []int{2, 1, 0}
+	want := []int{0, 1, 2}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("Order = %v, want %v", got, want)
 		}
 	}
-	if !l.Precedes(2, 0) {
+	if !l.Precedes(0, 2) {
 		t.Error("transitive precedence missing")
 	}
-	if l.Concurrent(2, 1) {
+	if l.Concurrent(1, 2) {
 		t.Error("chained nodes reported concurrent")
 	}
 }
 
+// TestCyclicPrecedenceRejected: a cyclic precedence graph has no
+// topological numbering, so one of its closures names a later node,
+// which Build rejects.
 func TestCyclicPrecedenceRejected(t *testing.T) {
-	g := NewGraph(2)
-	g.AddPrecedence(0, 1)
-	g.AddPrecedence(1, 0)
-	if _, err := Build(g, func(i, j int) bool { return false }); err == nil {
+	if _, err := Build(closures(2, [2]int{0, 1}, [2]int{1, 0}), func(i, j int) bool { return false }); err == nil {
 		t.Fatal("cyclic precedence graph accepted")
 	}
 }
@@ -78,8 +106,7 @@ func TestCyclicPrecedenceRejected(t *testing.T) {
 func TestDominanceEdgeAdded(t *testing.T) {
 	// Two concurrent ops, 1 dominates 0: edge 0 -> 1 must appear, so
 	// the dominated op linearizes first.
-	g := NewGraph(2)
-	l, err := Build(g, func(i, j int) bool { return i == 1 && j == 0 })
+	l, err := Build(closures(2), func(i, j int) bool { return i == 1 && j == 0 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,9 +122,7 @@ func TestDominanceEdgeAdded(t *testing.T) {
 func TestDominanceNeverOverridesPrecedence(t *testing.T) {
 	// 0 precedes 1, but 0 dominates 1: the dominance edge 1 -> 0 would
 	// create a cycle and must be skipped.
-	g := NewGraph(2)
-	g.AddPrecedence(0, 1)
-	l, err := Build(g, func(i, j int) bool { return i == 0 && j == 1 })
+	l, err := Build(closures(2, [2]int{0, 1}), func(i, j int) bool { return i == 0 && j == 1 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +138,8 @@ func TestLemma16(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 60; trial++ {
 		k := 2 + rng.Intn(10)
-		g, dom, _ := randomCase(rng, k)
-		l, err := Build(g, dom)
+		prec, dom, _ := randomCase(rng, k)
+		l, err := Build(prec, dom)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,8 +162,8 @@ func TestOrderIsTopological(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 60; trial++ {
 		k := 2 + rng.Intn(12)
-		g, dom, _ := randomCase(rng, k)
-		l, err := Build(g, dom)
+		prec, dom, _ := randomCase(rng, k)
+		l, err := Build(prec, dom)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,23 +191,22 @@ func TestLemma23Subgraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 40; trial++ {
 		k := 3 + rng.Intn(8)
-		g, dom, _ := randomCase(rng, k)
+		prec, dom, _ := randomCase(rng, k)
 		// Find a node with no outgoing precedence edges.
-		hasOut := make([]bool, k)
-		for i := 0; i < k; i++ {
-			hasOut[i] = len(g.out[i]) > 0
-		}
 		p := -1
-		for i := k - 1; i >= 0; i-- {
-			if !hasOut[i] {
-				p = i
-				break
+		for i := k - 1; i >= 0 && p == -1; i-- {
+			p = i
+			for j := range prec {
+				if prec[j].Has(i) {
+					p = -1
+					break
+				}
 			}
 		}
 		if p == -1 {
 			continue
 		}
-		lFull, err := Build(g, dom)
+		lFull, err := Build(prec, dom)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,23 +217,17 @@ func TestLemma23Subgraph(t *testing.T) {
 				remap = append(remap, i)
 			}
 		}
-		back := map[int]int{}
-		for newIdx, old := range remap {
-			back[old] = newIdx
-		}
-		g2 := NewGraph(k - 1)
-		for i := 0; i < k; i++ {
-			if i == p {
-				continue
-			}
-			for _, j := range g.out[i] {
-				if j != p {
-					g2.AddPrecedence(back[i], back[j])
+		prec2 := make([]Bits, k-1)
+		for j, old := range remap {
+			prec2[j] = NewBits(k - 1)
+			for i, oldI := range remap[:j] {
+				if prec[old].Has(oldI) {
+					prec2[j].Set(i)
 				}
 			}
 		}
 		dom2 := func(i, j int) bool { return dom(remap[i], remap[j]) }
-		lSub, err := Build(g2, dom2)
+		lSub, err := Build(prec2, dom2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +267,7 @@ func TestAcyclicAlways(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 80; trial++ {
 		k := 2 + rng.Intn(14)
-		g, _, _ := randomCase(rng, k)
+		prec, _, _ := randomCase(rng, k)
 		// Random (possibly non-transitive) dominance to stress cycle
 		// avoidance; Figure 3 must still produce a DAG.
 		domMatrix := make([][]bool, k)
@@ -259,7 +277,7 @@ func TestAcyclicAlways(t *testing.T) {
 				domMatrix[i][j] = i != j && rng.Intn(3) == 0
 			}
 		}
-		l, err := Build(g, func(i, j int) bool { return domMatrix[i][j] })
+		l, err := Build(prec, func(i, j int) bool { return domMatrix[i][j] })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,30 +285,23 @@ func TestAcyclicAlways(t *testing.T) {
 	}
 }
 
-func TestValidationPanics(t *testing.T) {
-	g := NewGraph(2)
-	for _, f := range []func(){
-		func() { g.AddPrecedence(0, 0) },
-		func() { g.AddPrecedence(-1, 1) },
-		func() { g.AddPrecedence(0, 2) },
+// TestBuildRejectsBadClosures: a closure may name only earlier nodes,
+// so a node preceding itself, a later node or one out of range is
+// rejected rather than silently linearized.
+func TestBuildRejectsBadClosures(t *testing.T) {
+	for _, prec := range [][]Bits{
+		closures(2, [2]int{0, 0}),
+		closures(2, [2]int{1, 0}),
+		closures(2, [2]int{2, 1}),
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
+		if _, err := Build(prec, func(i, j int) bool { return false }); err == nil {
+			t.Errorf("closures %v accepted", prec)
+		}
 	}
 }
 
 func TestKAccessors(t *testing.T) {
-	g := NewGraph(5)
-	if g.K() != 5 {
-		t.Errorf("Graph K = %d", g.K())
-	}
-	l, err := Build(g, func(i, j int) bool { return false })
+	l, err := Build(closures(5), func(i, j int) bool { return false })
 	if err != nil {
 		t.Fatal(err)
 	}

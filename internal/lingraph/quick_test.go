@@ -18,21 +18,8 @@ func TestQuickInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		k := 2 + rng.Intn(12)
-		// Interval order precedence.
-		starts := make([]int, k)
-		ends := make([]int, k)
-		g := NewGraph(k)
-		for i := 0; i < k; i++ {
-			starts[i] = rng.Intn(30)
-			ends[i] = starts[i] + 1 + rng.Intn(8)
-		}
-		for i := 0; i < k; i++ {
-			for j := 0; j < k; j++ {
-				if ends[i] < starts[j] {
-					g.AddPrecedence(i, j)
-				}
-			}
-		}
+		// Interval order precedence, numbered by start.
+		ivs := randomIntervals(rng, k, 30, 8)
 		// Random dominance restricted to a strict order on classes, so
 		// it resembles a real Definition 14 relation: class(i) <
 		// class(j) means j dominates i.
@@ -42,7 +29,7 @@ func TestQuickInvariants(t *testing.T) {
 		}
 		dom := func(i, j int) bool { return class[i] > class[j] }
 
-		l, err := Build(g, dom)
+		l, err := Build(intervalClosures(ivs), dom)
 		if err != nil {
 			return false
 		}
@@ -56,7 +43,7 @@ func TestQuickInvariants(t *testing.T) {
 				if i == j {
 					continue
 				}
-				if ends[i] < starts[j] && !l.Precedes(i, j) {
+				if ivs[i].end < ivs[j].start && !l.Precedes(i, j) {
 					return false // 2: precedence lost
 				}
 				if l.Precedes(i, j) && pos[i] > pos[j] {
@@ -83,9 +70,8 @@ func TestQuickInvariants(t *testing.T) {
 func TestQuickDominatedFirst(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := NewGraph(2)
 		winner := rng.Intn(2)
-		l, err := Build(g, func(i, j int) bool { return i == winner })
+		l, err := Build(closures(2), func(i, j int) bool { return i == winner })
 		if err != nil {
 			return false
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -348,8 +349,9 @@ func TestLinearizerRandomHistoriesMatchReference(t *testing.T) {
 // Inc never overwrites Inc, so no old entry can dominate a new one:
 // every refresh must merge, none may rebuild, and each machine hands
 // Figure 3 exactly the entries it indexes, once. Some merges must land
-// mid-order (a replay from base, so more invocations replayed than
-// indexed), or the sweep would not exercise the out-of-order path.
+// mid-order (each replays the rewritten tail again, so more invocations
+// are replayed than indexed), or the sweep would not exercise the
+// out-of-order path.
 func TestInterleavedIncsNeverRebuild(t *testing.T) {
 	const n, ops = 8, 30
 	s := types.Counter{}
@@ -386,6 +388,119 @@ func TestInterleavedIncsNeverRebuild(t *testing.T) {
 			}
 			if replayed <= indexed {
 				t.Fatalf("seed %d %T: replayed %d for %d indexed: no merge landed mid-order", seed, sc, replayed, indexed)
+			}
+		}
+	}
+}
+
+// TestLocalWorkIndependentOfHistoryLength runs the interleaved Inc
+// sweep at 30 and at 250 operations per machine and checks that the
+// local work per entry linearized does not grow with the history:
+//
+//   - Replayed: an out-of-order merge replays from the last checkpoint
+//     at or before the first position it changes, never from base;
+//   - Rewritten: a merge rewrites the order only from the lowest
+//     position a fresh entry can take, which counts every old ancestor,
+//     also those reached through a fresh parent.
+//
+// The 2x margin is the bound on history-independent local work.
+func TestLocalWorkIndependentOfHistoryLength(t *testing.T) {
+	const n = 8
+	s := types.Counter{}
+	perEntry := func(sc pram.Scheduler, ops int) (replayed, rewritten float64) {
+		scripts := make([][]spec.Inv, n)
+		for p := range scripts {
+			for i := 0; i < ops; i++ {
+				scripts[p] = append(scripts[p], types.Inc(1))
+			}
+		}
+		sys, ms := newSimSystem(s, scripts)
+		if err := sys.Run(sc, 0); err != nil {
+			t.Fatal(err)
+		}
+		var sum LinStats
+		for _, m := range ms {
+			st := m.LinStats()
+			sum.Linearized += st.Linearized
+			sum.Replayed += st.Replayed
+			sum.Rewritten += st.Rewritten
+		}
+		lin := float64(sum.Linearized)
+		return float64(sum.Replayed) / lin, float64(sum.Rewritten) / lin
+	}
+	for _, mk := range []func() pram.Scheduler{
+		func() pram.Scheduler { return sched.NewRandom(1) },
+		func() pram.Scheduler { return sched.NewBursty(1, 8) },
+	} {
+		rep30, rew30 := perEntry(mk(), 30)
+		rep250, rew250 := perEntry(mk(), 250)
+		t.Logf("%T per linearized entry, 30 -> 250 ops: replayed %.2f -> %.2f, rewritten %.2f -> %.2f",
+			mk(), rep30, rep250, rew30, rew250)
+		if rep250 > 2*rep30 {
+			t.Errorf("%T: replayed per linearized entry grew from %.2f at 30 ops to %.2f at 250, want within 2x",
+				mk(), rep30, rep250)
+		}
+		if rew250 > 2*rew30 {
+			t.Errorf("%T: rewritten order positions per linearized entry grew from %.2f at 30 ops to %.2f at 250, want within 2x",
+				mk(), rew30, rew250)
+		}
+	}
+}
+
+// TestReplayCheckpointsMatchReference checks the replay checkpoints on
+// interleaved histories several checkpoints long. Every Inc amount is
+// distinct, so a state replayed from a checkpoint that missed a moved
+// entry shows in the next Read; the Inc(1) sweeps above cannot see one.
+// Untruncated, every response and linearization must match the
+// reference. Truncating every 16 operations, which drops and shifts
+// checkpoints mid-run, every response must match the untruncated run's
+// under the same schedule: truncation performs no shared accesses, so
+// the views are the same.
+func TestReplayCheckpointsMatchReference(t *testing.T) {
+	const n, ops = 8, 40
+	s := types.Counter{}
+	scripts := make([][]spec.Inv, n)
+	for p := range scripts {
+		for i := 0; i < ops; i++ {
+			inv := types.Inc(int64(p*ops + i + 1))
+			if i%3 == 2 {
+				inv = types.Read()
+			}
+			scripts[p] = append(scripts[p], inv)
+		}
+	}
+	run := func(sc pram.Scheduler, truncate bool) []*Machine {
+		sys, ms := newSimSystem(s, scripts)
+		tr := NewTruncation(n, 16)
+		for _, m := range ms {
+			m.record = !truncate
+			if truncate {
+				m.SetTruncation(tr)
+			}
+		}
+		if err := sys.Run(sc, 0); err != nil {
+			t.Fatal(err)
+		}
+		if truncate && tr.Stats().Epochs == 0 {
+			t.Fatalf("%T: no truncation epoch completed", sc)
+		}
+		return ms
+	}
+	for _, seed := range []int64{1, 2} {
+		for _, mk := range []func() pram.Scheduler{
+			func() pram.Scheduler { return sched.NewRandom(seed) },
+			func() pram.Scheduler { return sched.NewBursty(seed, 8) },
+		} {
+			full, cut := run(mk(), false), run(mk(), true)
+			for p, m := range full {
+				for i := range m.recViews {
+					wantResp, wantHist := refRespond(t, s, m.recViews[i], m.Invocation(i))
+					assertSameLinearization(t, "checkpointed replay", m.results[i], wantResp, m.recHists[i], wantHist)
+				}
+				if !reflect.DeepEqual(cut[p].Results(), m.Results()) {
+					t.Fatalf("seed %d %T proc %d: truncated run responded %v, untruncated %v",
+						seed, mk(), p, cut[p].Results(), m.Results())
+				}
 			}
 		}
 	}
@@ -492,5 +607,49 @@ func TestLinearizerCheckpointValidation(t *testing.T) {
 	}
 	if st := l.Stats(); st.CheckpointMisses != 1 {
 		t.Fatalf("stats %+v after recovery, want no new miss", st)
+	}
+}
+
+// TestLinearizerMidOrderCheckpointValidation is the same guard for the
+// checkpoints inside the order: a merge that lands mid-order restores
+// the last checkpoint before it, validates it through spec.Key first,
+// and on a mismatch replays from base instead, counting the miss.
+func TestLinearizerMidOrderCheckpointValidation(t *testing.T) {
+	const k = ckptSpacing
+	s := types.Counter{}
+	l := NewLinearizer(s)
+	// P0 publishes a chain of k+8 Incs, so the order holds one
+	// checkpoint, at position k.
+	chain := make([]*Entry, k+8)
+	var want int64
+	for i := range chain {
+		prev := make([]*Entry, 2)
+		if i > 0 {
+			prev[0] = chain[i-1]
+		}
+		chain[i] = &Entry{Proc: 0, Seq: uint64(i + 1), Inv: types.Inc(int64(i + 1)), Prev: prev}
+		want += int64(i + 1)
+	}
+	if _, _, err := l.Respond([]*Entry{chain[k+7], nil}, types.Read()); err != nil {
+		t.Fatal(err)
+	}
+	if len(l.ckpts) != 1 || l.ckpts[0].pos != k {
+		t.Fatalf("checkpoints %+v, want one at position %d", l.ckpts, k)
+	}
+	// P1's Inc saw the chain up to chain[k+1] (stamp k+2), so its stamp
+	// is k+3: it lands after chain[k+2] (the same stamp, lower process)
+	// and before chain[k+3], and the replay restarts from the checkpoint.
+	f := &Entry{Proc: 1, Seq: k + 3, Inv: types.Inc(1000), Prev: []*Entry{chain[k+1], nil}}
+	want += 1000
+	l.ckpts[0].st = int64(-1) // corrupt the checkpoint behind the engine's back
+	resp, hist, err := l.Respond([]*Entry{chain[k+7], f}, types.Read())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.(int64) != want || hist[k+3] != f {
+		t.Fatalf("read %v with the new entry at %d, want %d at %d", resp, slices.Index(hist, f), want, k+3)
+	}
+	if st := l.Stats(); st.CheckpointMisses != 1 || st.Rebuilds != 0 {
+		t.Fatalf("stats %+v, want one checkpoint miss and no rebuild", st)
 	}
 }

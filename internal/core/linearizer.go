@@ -35,10 +35,13 @@ import (
 //     to a full rebuild when an old entry outside a new entry's
 //     ancestor closure dominates it — fallbacks are counted and
 //     surfaced as obs.EvLinRebuild;
-//  4. a sequential-replay checkpoint: the spec state at the frontier
-//     of the previous linearization, validated via spec.Key before
-//     reuse, so Respond replays only the linearization's new suffix
-//     when the new entries land at its end.
+//  4. sequential-replay checkpoints: the spec state at the frontier of
+//     the previous linearization and at positions at most ckptSpacing
+//     apart along it, each validated via spec.Key before reuse, so
+//     Respond replays only the linearization's new suffix when the new
+//     entries land at its end, and otherwise the order from the first
+//     position the merge changed plus fewer than ckptSpacing entries
+//     before it.
 //
 // A Linearizer is owned by one process (one goroutine at a time); the
 // *Entry values it indexes are immutable and shared freely.
@@ -67,14 +70,21 @@ type Linearizer struct {
 	// order FROM base, and stateKey its spec.Key at memoization time
 	// (checkpoint validation). base is the folded state of every
 	// truncated history prefix (spec.Init() until the first
-	// truncation): replay always starts from base, never from Init, so
-	// folded entries stay part of the object's history after their
-	// *Entry values are freed.
+	// truncation): replay starts from base or from a state replayed
+	// from it, never from Init, so folded entries stay part of the
+	// object's history after their *Entry values are freed.
 	order    []*Entry
 	ord      []int32
 	state    spec.State
 	stateKey string
 	base     spec.State
+
+	// ckpts are replay states inside the order, in position order, no
+	// more than ckptSpacing apart (from 0 to the first, and from the
+	// last to the frontier): an out-of-order merge restores the last one
+	// at or before the first position it changes instead of replaying
+	// from base.
+	ckpts []checkpoint
 
 	// byProc[q] counts the q-entries this engine has EVER indexed —
 	// monotone across truncations (Truncate never decrements it).
@@ -86,7 +96,7 @@ type Linearizer struct {
 
 	// stats, exposed via Stats.
 	calls, extensions, rebuilds, checkpointMisses uint64
-	linearized, replayed                          uint64
+	linearized, replayed, rewritten               uint64
 	truncations, truncated                        uint64
 
 	// incremental disabled forces the full-rebuild path on every call
@@ -103,6 +113,20 @@ type node struct {
 	// keeps, so the (seq, Proc) rank order is always topological.
 	seq uint64
 	pos int32 // position in order
+}
+
+// ckptSpacing is the distance along the order between replay
+// checkpoints: it bounds the extra Applies an out-of-order merge
+// replays before the first position it changes, at the price of one
+// retained spec state (and one spec.Key) per ckptSpacing entries.
+const ckptSpacing = 32
+
+// checkpoint is the state after replaying order[:pos] from base, and
+// its spec.Key when recorded.
+type checkpoint struct {
+	pos int
+	st  spec.State
+	key string
 }
 
 // NewLinearizer returns an empty engine for s. A fresh engine used for
@@ -137,12 +161,14 @@ type LinStats struct {
 	// CheckpointMisses counts replay checkpoints rejected by spec.Key
 	// validation (a spec mutating a supposedly immutable state).
 	CheckpointMisses uint64
-	// Linearized counts entries handed to Figure 3, and Replayed the
+	// Linearized counts entries handed to Figure 3, Replayed the
 	// invocations applied to bring the replay state to the order's
-	// frontier: the engine's local work, in units that do not depend on
+	// frontier, and Rewritten the order positions merges and rebuilds
+	// wrote: the engine's local work, in units that do not depend on
 	// the host.
 	Linearized uint64
 	Replayed   uint64
+	Rewritten  uint64
 	// Truncations counts successful Truncate folds, and Truncated the
 	// total entries those folds freed from this engine's index.
 	Truncations uint64
@@ -158,6 +184,7 @@ func (l *Linearizer) Stats() LinStats {
 		CheckpointMisses: l.checkpointMisses,
 		Linearized:       l.linearized,
 		Replayed:         l.replayed,
+		Rewritten:        l.rewritten,
 		Truncations:      l.truncations,
 		Truncated:        l.truncated,
 	}
@@ -335,13 +362,15 @@ func (l *Linearizer) figure3(ids []int32) (*lingraph.Lin, error) {
 //     the old order has passed its old parents and the old entries it
 //     dominates.
 //
-// When every fresh entry lands after the last old one, the replay
-// resumes from the frontier checkpoint; otherwise it restarts from base.
+// The order is rewritten from the lowest position a fresh entry could
+// take, and the replay resumes at the first position the merge changed:
+// from the frontier state when every fresh entry lands after the last
+// old one, otherwise from the last checkpoint at or before it.
 func (l *Linearizer) merge(oldN int) (bool, error) {
 	nf := len(l.nodes) - oldN
 	m := int32(len(l.ord))
 	if nf == 0 {
-		l.sync(len(l.order))
+		l.sync(int(m), int(m))
 		return true, nil
 	}
 	fr := make([]int32, nf) // fresh ids in rank order
@@ -349,14 +378,21 @@ func (l *Linearizer) merge(oldN int) (bool, error) {
 		fr[j] = int32(oldN + j)
 	}
 	slices.SortFunc(fr, l.rank)
-	// after[c] is the last old position fresh entry fr[c] must follow.
+	// after[id-oldN] is the last old position fresh entry id must
+	// follow: past its old parents, the old entries it dominates and,
+	// through each fresh parent, whatever that parent must follow. Ranks
+	// are topological, so a fresh parent's bound is final before its
+	// children read it. Readiness already waits for fresh parents, so
+	// the carried bound moves no placement; it only raises start.
 	after := make([]int32, nf)
 	start := m
-	for c, id := range fr {
+	for _, id := range fr {
 		f, a, dominated := l.nodes[id].e, int32(-1), false
 		for _, p := range f.Prev {
 			if pid, ok := l.index[p]; ok && int(pid) < oldN {
 				a = max(a, l.nodes[pid].pos)
+			} else if ok {
+				a = max(a, after[int(pid)-oldN])
 			}
 		}
 		l.nodes[id].anc.Missing(oldN, func(y int) {
@@ -370,7 +406,7 @@ func (l *Linearizer) merge(oldN int) (bool, error) {
 		if dominated {
 			return false, nil
 		}
-		after[c] = a
+		after[int(id)-oldN] = a
 		start = min(start, a+1)
 	}
 	lin, err := l.figure3(fr)
@@ -386,10 +422,10 @@ func (l *Linearizer) merge(oldN int) (bool, error) {
 		}
 	}
 	tail := make([]int32, 0, int(m-start)+nf)
-	i, moved := start, false
+	i, from := start, m // from: the first position the merge changes
 	for placed := 0; placed < nf; {
 		c := 0
-		for c < nf && (left[c] != 0 || after[c] >= i) {
+		for c < nf && (left[c] != 0 || after[int(fr[c])-oldN] >= i) {
 			c++
 		}
 		if c == nf || (i < m && l.rank(l.ord[i], fr[c]) < 0) {
@@ -397,7 +433,7 @@ func (l *Linearizer) merge(oldN int) (bool, error) {
 			i++
 			continue
 		}
-		moved = moved || i < m
+		from = min(from, i)
 		left[c] = -1
 		placed++
 		tail = append(tail, fr[c])
@@ -414,11 +450,8 @@ func (l *Linearizer) merge(oldN int) (bool, error) {
 		nd.pos = int32(p)
 		l.order = append(l.order, nd.e)
 	}
-	if moved {
-		l.sync(0)
-	} else {
-		l.sync(int(m))
-	}
+	l.rewritten += uint64(len(l.ord) - int(start))
+	l.sync(int(from), int(m))
 	return true, nil
 }
 
@@ -442,29 +475,57 @@ func (l *Linearizer) rebuild() error {
 		l.ord = append(l.ord, ids[r])
 		l.order = append(l.order, nd.e)
 	}
-	l.sync(0)
+	l.rewritten += uint64(len(l.ord))
+	l.sync(0, 0)
 	return nil
 }
 
-// sync brings the replay state to the end of the order, applying
-// order[from:] to the cached state, which covers order[:from], or to
-// base when from is 0. A reused state is validated through spec.Key
-// first: if a spec violated immutability and the memoized state drifted
-// from its recorded key, the replay restarts from base (counted as a
-// checkpoint miss).
-func (l *Linearizer) sync(from int) {
-	st := l.state
-	if from == 0 {
-		st = l.base
-	} else if l.s.Key(st) != l.stateKey {
+// sync brings the replay state to the end of the order after a change
+// that left order[:from] as it was; prev is the order's length at the
+// previous sync, the prefix the frontier state covers. The replay
+// resumes from the frontier state if prev ≤ from, else from the last
+// checkpoint at or before from, dropping those past it, else from base
+// (rebuild passes 0, 0). It records a checkpoint whenever it passes
+// ckptSpacing entries beyond the last one. A reused state is validated
+// through spec.Key first: if a spec violated immutability and the
+// memoized state drifted from its recorded key, the replay restarts
+// from base (counted as a checkpoint miss).
+func (l *Linearizer) sync(from, prev int) {
+	at, st, key := 0, l.base, ""
+	if from >= prev && prev > 0 {
+		at, st, key = prev, l.state, l.stateKey
+	} else {
+		j := len(l.ckpts)
+		for j > 0 && l.ckpts[j-1].pos > from {
+			j--
+		}
+		l.ckpts = slices.Delete(l.ckpts, j, len(l.ckpts))
+		if j > 0 {
+			c := l.ckpts[j-1]
+			at, st, key = c.pos, c.st, c.key
+		}
+	}
+	if at > 0 && l.s.Key(st) != key {
 		l.checkpointMisses++
-		from, st = 0, l.base
+		at, st, l.ckpts = 0, l.base, slices.Delete(l.ckpts, 0, len(l.ckpts))
 	}
-	for _, e := range l.order[from:] {
-		st, _ = l.s.Apply(st, e.Inv)
+	last := 0 // position of the last checkpoint
+	if j := len(l.ckpts); j > 0 {
+		last = l.ckpts[j-1].pos
 	}
-	l.replayed += uint64(len(l.order) - from)
+	n := len(l.order)
+	for p := at; p < n; {
+		st, _ = l.s.Apply(st, l.order[p].Inv)
+		if p++; p-last == ckptSpacing && p < n {
+			l.ckpts = append(l.ckpts, checkpoint{p, st, l.s.Key(st)})
+			last = p
+		}
+	}
+	l.replayed += uint64(n - at)
 	l.state, l.stateKey = st, l.s.Key(st)
+	if n-last == ckptSpacing {
+		l.ckpts = append(l.ckpts, checkpoint{n, st, l.stateKey})
+	}
 }
 
 // ErrTruncatePrefix reports that the entries at or below the proposed
@@ -561,6 +622,16 @@ func (l *Linearizer) Truncate(w uint64) (removed int, boundary []*Entry, err err
 		newOrd[i] = idMap[id]
 	}
 	l.nodes, l.index, l.order, l.ord = survivors, newIndex, newOrder, newOrd
+	// Checkpoints inside the fold set are superseded by the new base; the
+	// rest move down with the order.
+	d := 0
+	for d < len(l.ckpts) && l.ckpts[d].pos <= k {
+		d++
+	}
+	l.ckpts = slices.Delete(l.ckpts, 0, d)
+	for i := range l.ckpts {
+		l.ckpts[i].pos -= k
+	}
 	l.live.Store(int64(len(survivors)))
 	l.visited = map[*Entry]uint32{}
 	l.gen = 0

@@ -251,18 +251,28 @@ func RunNative(cfg Config) (*NativeReport, error) {
 
 	// Post-run: drive any still-pending epoch home from the surviving
 	// slots (crashed processes stay silent forever — an epoch waiting on
-	// one must simply never complete, which is safe).
+	// one must simply never complete, which is safe). A fold verdict can
+	// panic here as in a process's own turn, and is reported the same
+	// way.
 	if doTrunc && len(rep.Failures) == 0 {
-		for round := 0; round < 4*n; round++ {
-			for p := 0; p < n; p++ {
-				if cut[p] == len(scripts[p]) {
-					u.TruncTick(p)
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					rep.Failures = append(rep.Failures, Failure{Oracle: OraclePanic,
+						Msg: fmt.Sprintf("post-run truncation tick: %v", r)})
+				}
+			}()
+			for round := 0; round < 4*n; round++ {
+				for p := 0; p < n; p++ {
+					if cut[p] == len(scripts[p]) {
+						u.TruncTick(p)
+					}
+				}
+				if u.TruncStats().Phase == "idle" {
+					break
 				}
 			}
-			if u.TruncStats().Phase == "idle" {
-				break
-			}
-		}
+		}()
 	}
 	rep.Trunc = u.TruncStats()
 	rep.Retained = u.Retained()

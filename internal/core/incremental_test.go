@@ -1,10 +1,14 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/apram/obs"
@@ -652,4 +656,135 @@ func TestLinearizerMidOrderCheckpointValidation(t *testing.T) {
 	if st := l.Stats(); st.CheckpointMisses != 1 || st.Rebuilds != 0 {
 		t.Fatalf("stats %+v, want one checkpoint miss and no rebuild", st)
 	}
+}
+
+// TestLinearizerKeyedCounts pins the engine's spec.Key calls per
+// refresh: a refresh that replays nothing validates the frontier state
+// and keeps the key it validated (one call), and one that replays a
+// suffix without crossing a checkpoint validates the frontier state and
+// records the new one (two calls).
+func TestLinearizerKeyedCounts(t *testing.T) {
+	l := NewLinearizer(types.Counter{})
+	if got := l.Stats().Keyed; got != 1 {
+		t.Fatalf("a new engine made %d Key calls, want 1 (its base)", got)
+	}
+	e1 := &Entry{Proc: 0, Seq: 1, Inv: types.Inc(5), Prev: make([]*Entry, 2)}
+	e2 := &Entry{Proc: 1, Seq: 2, Inv: types.Inc(7), Prev: []*Entry{e1, nil}}
+	for _, c := range []struct {
+		what  string
+		view  []*Entry
+		keyed uint64
+	}{
+		{"first replay from base", []*Entry{e1, nil}, 2},
+		{"refresh replaying nothing", []*Entry{e1, nil}, 1},
+		{"refresh replaying a suffix", []*Entry{e1, e2}, 2},
+		{"refresh replaying nothing again", []*Entry{e1, e2}, 1},
+	} {
+		before := l.Stats()
+		if _, _, err := l.Respond(c.view, types.Read()); err != nil {
+			t.Fatal(err)
+		}
+		if got := l.Stats().Keyed - before.Keyed; got != c.keyed {
+			t.Errorf("%s: %d Key calls, want %d", c.what, got, c.keyed)
+		}
+	}
+	if st := l.Stats(); st.CheckpointMisses != 0 || st.Rebuilds != 0 {
+		t.Fatalf("stats %+v, want no checkpoint miss and no rebuild", st)
+	}
+}
+
+// inPlaceCounter is types.Counter with the defect the replay guard
+// exists for: its state is a map that Apply increments in place instead
+// of returning a fresh state.
+type inPlaceCounter struct{ types.Counter }
+
+func (inPlaceCounter) Init() spec.State { return map[string]int64{} }
+
+func (inPlaceCounter) Apply(s spec.State, inv spec.Inv) (spec.State, any) {
+	m := s.(map[string]int64)
+	if inv.Op == types.OpInc {
+		m["n"] += inv.Arg.(int64)
+		return m, nil
+	}
+	return m, m["n"]
+}
+
+func (inPlaceCounter) Equal(a, b spec.State) bool {
+	return a.(map[string]int64)["n"] == b.(map[string]int64)["n"]
+}
+
+func (inPlaceCounter) Key(s spec.State) string {
+	return strconv.FormatInt(s.(map[string]int64)["n"], 10)
+}
+
+// TestLinearizerBaseValidation drives a spec that mutates its input
+// state in place, with the incremental engine on and off, with and
+// without a truncation fold. A replay or fold starting from base finds
+// base drifted from its key, and base has no clean copy to fall back
+// on, so every read must be exact or fail with ErrBaseMutated, never
+// return a wrong sum.
+func TestLinearizerBaseValidation(t *testing.T) {
+	for _, incremental := range []bool{true, false} {
+		for _, truncate := range []bool{false, true} {
+			t.Run(fmt.Sprintf("incremental=%v/truncate=%v", incremental, truncate), func(t *testing.T) {
+				l := NewLinearizer(inPlaceCounter{})
+				l.SetIncremental(incremental)
+				var prev *Entry
+				for i := 1; i <= 5; i++ {
+					e := &Entry{Proc: 0, Seq: uint64(i), Inv: types.Inc(1), Prev: []*Entry{prev}}
+					prev = e
+					resp, _, err := l.Respond([]*Entry{e}, types.Read())
+					if errors.Is(err, ErrBaseMutated) {
+						t.Logf("caught at read %d", i)
+						return
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if resp != int64(i) {
+						t.Fatalf("read %v after %d Incs", resp, i)
+					}
+					if truncate && i == 3 {
+						if _, _, err := l.Truncate(2); errors.Is(err, ErrBaseMutated) {
+							t.Logf("caught at the fold after read %d", i)
+							return
+						} else if err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if !incremental || truncate {
+					t.Fatal("a replay or fold from the mutated base went unchecked")
+				}
+			})
+		}
+	}
+}
+
+// TestTruncationPanicsOnMutatedBase: the truncation protocol retries an
+// epoch whose watermark is not a linearization prefix, but a fold onto
+// a drifted base would fail the same way on every retry, so it panics.
+func TestTruncationPanicsOnMutatedBase(t *testing.T) {
+	l := NewLinearizer(inPlaceCounter{})
+	var prev *Entry
+	for i := 1; i <= 3; i++ {
+		prev = &Entry{Proc: 0, Seq: uint64(i), Inv: types.Inc(1), Prev: []*Entry{prev}}
+	}
+	view := []*Entry{prev}
+	// The replay from base increments base itself: base now reads 3.
+	if resp, _, err := l.Respond(view, types.Read()); err != nil || resp != int64(3) {
+		t.Fatalf("read %v, %v; want 3", resp, err)
+	}
+	tr := NewTruncation(1, 1)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, ErrBaseMutated.Error()) {
+			t.Fatalf("panic %q, want one carrying ErrBaseMutated", msg)
+		}
+		if st := tr.Stats(); st.Aborts != 0 || st.Epochs != 0 {
+			t.Fatalf("truncation stats %+v, want no abort and no epoch", st)
+		}
+	}()
+	tr.opEnd(0, view, l, nil)
+	t.Fatalf("the fold onto a mutated base returned; truncation stats %+v", tr.Stats())
 }

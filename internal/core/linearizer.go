@@ -41,7 +41,8 @@ import (
 //     Respond replays only the linearization's new suffix when the new
 //     entries land at its end, and otherwise the order from the first
 //     position the merge changed plus fewer than ckptSpacing entries
-//     before it.
+//     before it. The folded base is validated the same way whenever a
+//     replay starts from it.
 //
 // A Linearizer is owned by one process (one goroutine at a time); the
 // *Entry values it indexes are immutable and shared freely.
@@ -70,14 +71,16 @@ type Linearizer struct {
 	// order FROM base, and stateKey its spec.Key at memoization time
 	// (checkpoint validation). base is the folded state of every
 	// truncated history prefix (spec.Init() until the first
-	// truncation): replay starts from base or from a state replayed
-	// from it, never from Init, so folded entries stay part of the
-	// object's history after their *Entry values are freed.
+	// truncation), and baseKey its spec.Key when it was set: replay
+	// starts from base or from a state replayed from it, never from
+	// Init, so folded entries stay part of the object's history after
+	// their *Entry values are freed.
 	order    []*Entry
 	ord      []int32
 	state    spec.State
 	stateKey string
 	base     spec.State
+	baseKey  string
 
 	// ckpts are replay states inside the order, in position order, no
 	// more than ckptSpacing apart (from 0 to the first, and from the
@@ -96,7 +99,7 @@ type Linearizer struct {
 
 	// stats, exposed via Stats.
 	calls, extensions, rebuilds, checkpointMisses uint64
-	linearized, replayed, rewritten               uint64
+	linearized, replayed, rewritten, keyed        uint64
 	truncations, truncated                        uint64
 
 	// incremental disabled forces the full-rebuild path on every call
@@ -134,15 +137,17 @@ type checkpoint struct {
 // implementation.
 func NewLinearizer(s spec.Spec) *Linearizer {
 	st := s.Init()
-	return &Linearizer{
+	l := &Linearizer{
 		s:           s,
 		index:       map[*Entry]int32{},
 		visited:     map[*Entry]uint32{},
 		state:       st,
-		stateKey:    s.Key(st),
 		base:        st,
 		incremental: true,
 	}
+	l.baseKey = l.key(st)
+	l.stateKey = l.baseKey
+	return l
 }
 
 // SetIncremental toggles the incremental fast path. With incremental
@@ -163,12 +168,14 @@ type LinStats struct {
 	CheckpointMisses uint64
 	// Linearized counts entries handed to Figure 3, Replayed the
 	// invocations applied to bring the replay state to the order's
-	// frontier, and Rewritten the order positions merges and rebuilds
-	// wrote: the engine's local work, in units that do not depend on
-	// the host.
+	// frontier, Rewritten the order positions merges and rebuilds
+	// wrote, and Keyed the spec.Key calls that validate, record and
+	// checkpoint replay states and the base: the engine's local work,
+	// in units that do not depend on the host.
 	Linearized uint64
 	Replayed   uint64
 	Rewritten  uint64
+	Keyed      uint64
 	// Truncations counts successful Truncate folds, and Truncated the
 	// total entries those folds freed from this engine's index.
 	Truncations uint64
@@ -185,6 +192,7 @@ func (l *Linearizer) Stats() LinStats {
 		Linearized:       l.linearized,
 		Replayed:         l.replayed,
 		Rewritten:        l.rewritten,
+		Keyed:            l.keyed,
 		Truncations:      l.truncations,
 		Truncated:        l.truncated,
 	}
@@ -370,8 +378,7 @@ func (l *Linearizer) merge(oldN int) (bool, error) {
 	nf := len(l.nodes) - oldN
 	m := int32(len(l.ord))
 	if nf == 0 {
-		l.sync(int(m), int(m))
-		return true, nil
+		return true, l.sync(int(m), int(m))
 	}
 	fr := make([]int32, nf) // fresh ids in rank order
 	for j := range fr {
@@ -451,8 +458,7 @@ func (l *Linearizer) merge(oldN int) (bool, error) {
 		l.order = append(l.order, nd.e)
 	}
 	l.rewritten += uint64(len(l.ord) - int(start))
-	l.sync(int(from), int(m))
-	return true, nil
+	return true, l.sync(int(from), int(m))
 }
 
 // rebuild recomputes the linearization of every indexed entry from
@@ -476,8 +482,7 @@ func (l *Linearizer) rebuild() error {
 		l.order = append(l.order, nd.e)
 	}
 	l.rewritten += uint64(len(l.ord))
-	l.sync(0, 0)
-	return nil
+	return l.sync(0, 0)
 }
 
 // sync brings the replay state to the end of the order after a change
@@ -486,12 +491,15 @@ func (l *Linearizer) rebuild() error {
 // resumes from the frontier state if prev ≤ from, else from the last
 // checkpoint at or before from, dropping those past it, else from base
 // (rebuild passes 0, 0). It records a checkpoint whenever it passes
-// ckptSpacing entries beyond the last one. A reused state is validated
-// through spec.Key first: if a spec violated immutability and the
-// memoized state drifted from its recorded key, the replay restarts
-// from base (counted as a checkpoint miss).
-func (l *Linearizer) sync(from, prev int) {
-	at, st, key := 0, l.base, ""
+// ckptSpacing entries beyond the last one. The state a replay starts
+// from is validated through spec.Key first: if a spec violated
+// immutability and a memoized state drifted from its recorded key, the
+// replay restarts from base (counted as a checkpoint miss), and if base
+// drifted, which leaves no clean state to restart from, sync fails with
+// ErrBaseMutated. When nothing is replayed, the validated key is the
+// frontier's, so an idle refresh keys the state once.
+func (l *Linearizer) sync(from, prev int) error {
+	at, st, key := 0, l.base, l.baseKey
 	if from >= prev && prev > 0 {
 		at, st, key = prev, l.state, l.stateKey
 	} else {
@@ -505,9 +513,12 @@ func (l *Linearizer) sync(from, prev int) {
 			at, st, key = c.pos, c.st, c.key
 		}
 	}
-	if at > 0 && l.s.Key(st) != key {
+	if at > 0 && l.key(st) != key {
 		l.checkpointMisses++
-		at, st, l.ckpts = 0, l.base, slices.Delete(l.ckpts, 0, len(l.ckpts))
+		at, st, key, l.ckpts = 0, l.base, l.baseKey, slices.Delete(l.ckpts, 0, len(l.ckpts))
+	}
+	if at == 0 && l.key(st) != key {
+		return ErrBaseMutated
 	}
 	last := 0 // position of the last checkpoint
 	if j := len(l.ckpts); j > 0 {
@@ -517,16 +528,33 @@ func (l *Linearizer) sync(from, prev int) {
 	for p := at; p < n; {
 		st, _ = l.s.Apply(st, l.order[p].Inv)
 		if p++; p-last == ckptSpacing && p < n {
-			l.ckpts = append(l.ckpts, checkpoint{p, st, l.s.Key(st)})
+			l.ckpts = append(l.ckpts, checkpoint{p, st, l.key(st)})
 			last = p
 		}
 	}
-	l.replayed += uint64(n - at)
-	l.state, l.stateKey = st, l.s.Key(st)
-	if n-last == ckptSpacing {
-		l.ckpts = append(l.ckpts, checkpoint{n, st, l.stateKey})
+	if at < n {
+		key = l.key(st)
 	}
+	l.replayed += uint64(n - at)
+	l.state, l.stateKey = st, key
+	if n-last == ckptSpacing {
+		l.ckpts = append(l.ckpts, checkpoint{n, st, key})
+	}
+	return nil
 }
+
+// key is spec.Key, counted in LinStats.Keyed.
+func (l *Linearizer) key(st spec.State) string {
+	l.keyed++
+	return l.s.Key(st)
+}
+
+// ErrBaseMutated reports that the folded base state no longer has the
+// spec.Key recorded when it was set: the spec mutated a state it was
+// handed instead of returning a fresh one. A drifted checkpoint is
+// replayed again from base, but base has no clean copy, so the engine
+// cannot answer; the machines and the truncation protocol panic on it.
+var ErrBaseMutated = errors.New("core: the base state changed after its key was recorded (a spec mutated a state in place)")
 
 // ErrTruncatePrefix reports that the entries at or below the proposed
 // watermark do not form a prefix of this engine's linearization — a
@@ -551,7 +579,9 @@ var ErrTruncatePrefix = errors.New("core: watermark entries are not a linearizat
 // On success it returns the number of entries freed and the surviving
 // entries whose Prev arrays still point into the fold set (the cut
 // boundary — the protocol nils those pointers once every engine has
-// folded). The linearization order and frontier state are unchanged:
+// folded). It fails with ErrBaseMutated, folding nothing, if the base
+// it would fold onto has drifted from its recorded key. The
+// linearization order and frontier state are unchanged:
 // replaying order from the new base is, by determinism,
 // indistinguishable from replaying the full history from Init.
 func (l *Linearizer) Truncate(w uint64) (removed int, boundary []*Entry, err error) {
@@ -571,7 +601,10 @@ func (l *Linearizer) Truncate(w uint64) (removed int, boundary []*Entry, err err
 		}
 	}
 
-	// Fold: replay the prefix onto base.
+	// Fold: replay the prefix onto base, once base is known intact.
+	if l.key(l.base) != l.baseKey {
+		return 0, nil, ErrBaseMutated
+	}
 	newBase := l.base
 	for _, e := range l.order[:k] {
 		newBase, _ = l.s.Apply(newBase, e.Inv)
@@ -635,7 +668,7 @@ func (l *Linearizer) Truncate(w uint64) (removed int, boundary []*Entry, err err
 	l.live.Store(int64(len(survivors)))
 	l.visited = map[*Entry]uint32{}
 	l.gen = 0
-	l.base = newBase
+	l.base, l.baseKey = newBase, l.key(newBase)
 	l.truncations++
 	l.truncated += uint64(k)
 	return k, boundary, nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -395,6 +396,10 @@ func (t *Truncation) advance(p int, lin *Linearizer, probe obs.Probe) {
 		return
 	}
 	removed, boundary, err := lin.Truncate(t.w)
+	if errors.Is(err, ErrBaseMutated) {
+		// A retry would fold onto the same drifted base.
+		panic("core: truncation fold: " + err.Error())
+	}
 	if err != nil {
 		if t.nFold == 0 {
 			// First folder: the fold set is not a linearization prefix.

@@ -252,19 +252,24 @@ func TestStateKeysDistinguish(t *testing.T) {
 }
 
 // TestStateKeysInjective: element names that contain a separator must
-// not forge another state's key. Each pair below collided under the
-// joined encodings the keys used before they quoted their elements.
+// not forge another state's key. Each of the first six pairs collided
+// under the joined encodings the keys used before they quoted their
+// elements; the last three collide if a map state's key drops the
+// length prefix of its keys or of its string values.
 func TestStateKeysInjective(t *testing.T) {
 	for _, c := range []struct {
 		s    spec.Spec
 		a, b spec.State
 	}{
-		{GSet{}, setState{"a,b": {}}, setState{"a": {}, "b": {}}},
-		{KCounter{}, kcState{"a=1;b": 2}, kcState{"a": 1, "b": 2}},
-		{Directory{}, dirState{"a": "1;b=2"}, dirState{"a": "1", "b": "2"}},
+		{GSet{}, setState{{k: "a,b"}}, setState{{k: "a"}, {k: "b"}}},
+		{KCounter{}, kcState{{"a=1;b", 2}}, kcState{{"a", 1}, {"b", 2}}},
+		{Directory{}, dirState{{"a", "1;b=2"}}, dirState{{"a", "1"}, {"b", "2"}}},
 		{Clock{}, lattice.IntMap{"a=1;b": 2}, lattice.IntMap{"a": 1, "b": 2}},
 		{Queue{}, queueState{"a,b"}, queueState{"a", "b"}},
 		{spec.Compose(Register{}, Register{}), regPair("x||", "y"), regPair("x", "||y")},
+		{GSet{}, setState{{k: "ab"}}, setState{{k: "a"}, {k: "b"}}},
+		{KCounter{}, kcState{{"a\x02b", 2}}, kcState{{"a", 1}, {"b", 2}}},
+		{Directory{}, dirState{{"a", "x\x01b"}}, dirState{{"a", "x"}, {"b", ""}}},
 	} {
 		if c.s.Equal(c.a, c.b) {
 			t.Fatalf("%s: test states are equal", c.s.Name())

@@ -54,8 +54,9 @@ func (Clock) Equal(a, b spec.State) bool {
 	return l.Leq(a, b) && l.Leq(b, a)
 }
 
-// Key encodes the state canonically and injectively (see mapKey).
-func (Clock) Key(s spec.State) string { return mapKey(s.(lattice.IntMap), appendIntVal) }
+// Key encodes the state canonically and injectively: its entries in
+// key order (see sorted.key).
+func (Clock) Key(s spec.State) string { return sortedOf(s.(lattice.IntMap)).key() }
 
 // Commutes: merges commute with merges, reads with reads.
 func (Clock) Commutes(p, q spec.Inv) bool {

@@ -2,6 +2,7 @@ package types
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/spec"
@@ -39,7 +40,7 @@ func Get(k string) spec.Inv { return spec.Inv{Op: OpGet, Arg: k} }
 func GetAll() spec.Inv { return spec.Inv{Op: OpGetAll} }
 
 // dirState is an immutable string map.
-type dirState map[string]string
+type dirState = sorted[string]
 
 // Directory is a last-writer-wins map satisfying Property 1.
 type Directory struct{}
@@ -48,7 +49,7 @@ type Directory struct{}
 func (Directory) Name() string { return "directory" }
 
 // Init returns the empty directory.
-func (Directory) Init() spec.State { return dirState{} }
+func (Directory) Init() spec.State { return dirState(nil) }
 
 // Apply executes one operation.
 func (Directory) Apply(s spec.State, inv spec.Inv) (spec.State, any) {
@@ -56,55 +57,34 @@ func (Directory) Apply(s spec.State, inv spec.Inv) (spec.State, any) {
 	switch inv.Op {
 	case OpPut:
 		kv := inv.Arg.(KV)
-		out := cloneDir(m)
-		out[kv.K] = kv.V
-		return out, nil
+		return m.with(kv.K, kv.V), nil
 	case OpDel:
 		k := inv.Arg.(string)
-		if _, ok := m[k]; !ok {
-			return m, nil
+		if _, ok := m.find(k); !ok {
+			return s, nil
 		}
-		out := cloneDir(m)
-		delete(out, k)
-		return out, nil
+		return m.without(k), nil
 	case OpGet:
-		return m, m[inv.Arg.(string)]
+		return s, m.get(inv.Arg.(string))
 	case OpGetAll:
-		out := make([]string, 0, len(m))
-		for k, v := range m {
-			out = append(out, k+"="+v)
+		// Sorted by "k=v", which differs from key order for keys such
+		// as "a" and "a=".
+		out := make([]string, len(m))
+		for i, e := range m {
+			out[i] = e.k + "=" + e.v
 		}
 		sort.Strings(out)
-		return m, out
+		return s, out
 	default:
 		panic(fmt.Sprintf("directory: unknown operation %q", inv.Op))
 	}
 }
 
-func cloneDir(m dirState) dirState {
-	out := make(dirState, len(m)+1)
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
+// Equal compares states entry-wise.
+func (Directory) Equal(a, b spec.State) bool { return slices.Equal(a.(dirState), b.(dirState)) }
 
-// Equal compares states key-wise.
-func (Directory) Equal(a, b spec.State) bool {
-	x, y := a.(dirState), b.(dirState)
-	if len(x) != len(y) {
-		return false
-	}
-	for k, v := range x {
-		if y[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// Key encodes the state canonically and injectively (see mapKey).
-func (Directory) Key(s spec.State) string { return mapKey(s.(dirState), appendStringVal) }
+// Key encodes the state canonically and injectively (see sorted.key).
+func (Directory) Key(s spec.State) string { return s.(dirState).key() }
 
 // key returns the key an invocation touches, or "" for getall.
 func dirKey(in spec.Inv) string {
@@ -168,8 +148,8 @@ func (Directory) SampleInvocations() []spec.Inv {
 func (Directory) SampleStates() []spec.State {
 	return []spec.State{
 		dirState{},
-		dirState{"a": "1"},
-		dirState{"a": "2", "b": "9", "c": "x"},
+		dirState{{"a", "1"}},
+		dirState{{"a", "2"}, {"b", "9"}, {"c", "x"}},
 	}
 }
 

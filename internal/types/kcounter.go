@@ -2,6 +2,7 @@ package types
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/spec"
 )
@@ -34,9 +35,9 @@ func VSum() spec.Inv { return spec.Inv{Op: OpVSum} }
 // VZero builds a vzero() invocation: reset every key to 0.
 func VZero() spec.Inv { return spec.Inv{Op: OpVZero} }
 
-// kcState is an immutable key→count map; keys at 0 are absent, so the
-// representation is canonical and Equal is map equality.
-type kcState map[string]int64
+// kcState is an immutable key→count state; keys at 0 are absent, so
+// the representation is canonical.
+type kcState = sorted[int64]
 
 // KCounter is a counter-vector: a map of named counters. It is the
 // keyed closure of the paper's fetch-and-add counter (Section 5.1) —
@@ -54,7 +55,7 @@ type KCounter struct{}
 func (KCounter) Name() string { return "kcounter" }
 
 // Init returns the all-zero vector.
-func (KCounter) Init() spec.State { return kcState{} }
+func (KCounter) Init() spec.State { return kcState(nil) }
 
 // Apply executes one operation.
 func (KCounter) Apply(s spec.State, inv spec.Inv) (spec.State, any) {
@@ -63,49 +64,33 @@ func (KCounter) Apply(s spec.State, inv spec.Inv) (spec.State, any) {
 	case OpVInc:
 		kd := inv.Arg.(KD)
 		if kd.D == 0 {
-			return m, nil
+			return s, nil
 		}
-		out := make(kcState, len(m)+1)
-		for k, v := range m {
-			out[k] = v
+		if v := m.get(kd.K) + kd.D; v != 0 {
+			return m.with(kd.K, v), nil
 		}
-		out[kd.K] += kd.D
-		if out[kd.K] == 0 {
-			delete(out, kd.K)
-		}
-		return out, nil
+		return m.without(kd.K), nil
 	case OpVRead:
-		return m, m[inv.Arg.(string)]
+		return s, m.get(inv.Arg.(string))
 	case OpVSum:
 		var sum int64
-		for _, v := range m {
-			sum += v
+		for _, e := range m {
+			sum += e.v
 		}
-		return m, sum
+		return s, sum
 	case OpVZero:
-		return kcState{}, nil
+		return kcState(nil), nil
 	default:
 		panic(fmt.Sprintf("kcounter: unknown operation %q", inv.Op))
 	}
 }
 
-// Equal compares states key-wise (canonical representation: no zero
+// Equal compares states entry-wise (canonical representation: no zero
 // entries).
-func (KCounter) Equal(a, b spec.State) bool {
-	x, y := a.(kcState), b.(kcState)
-	if len(x) != len(y) {
-		return false
-	}
-	for k, v := range x {
-		if y[k] != v {
-			return false
-		}
-	}
-	return true
-}
+func (KCounter) Equal(a, b spec.State) bool { return slices.Equal(a.(kcState), b.(kcState)) }
 
-// Key encodes the state canonically and injectively (see mapKey).
-func (KCounter) Key(s spec.State) string { return mapKey(s.(kcState), appendIntVal) }
+// Key encodes the state canonically and injectively (see sorted.key).
+func (KCounter) Key(s spec.State) string { return s.(kcState).key() }
 
 // kcKey returns the key an invocation touches, or "" for the
 // cross-key vsum/vzero.
@@ -163,8 +148,8 @@ func (KCounter) SampleInvocations() []spec.Inv {
 func (KCounter) SampleStates() []spec.State {
 	return []spec.State{
 		kcState{},
-		kcState{"a": 1},
-		kcState{"a": 2, "b": -1, "c": 5},
+		kcState{{"a", 1}},
+		kcState{{"a", 2}, {"b", -1}, {"c", 5}},
 	}
 }
 

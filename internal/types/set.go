@@ -2,6 +2,7 @@ package types
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/spec"
@@ -25,7 +26,7 @@ func Clear() spec.Inv { return spec.Inv{Op: OpClear} }
 func Members() spec.Inv { return spec.Inv{Op: OpMembers} }
 
 // setState is an immutable string set state.
-type setState map[string]struct{}
+type setState = sorted[struct{}]
 
 // GSet is one of the paper's "certain kinds of set abstractions"
 // (Section 1): a set whose add operations commute with each other,
@@ -40,7 +41,7 @@ type GSet struct{}
 func (GSet) Name() string { return "gset" }
 
 // Init returns the empty set.
-func (GSet) Init() spec.State { return setState{} }
+func (GSet) Init() spec.State { return setState(nil) }
 
 // Apply executes one operation.
 func (GSet) Apply(s spec.State, inv spec.Inv) (spec.State, any) {
@@ -48,43 +49,29 @@ func (GSet) Apply(s spec.State, inv spec.Inv) (spec.State, any) {
 	switch inv.Op {
 	case OpAdd:
 		elem := inv.Arg.(string)
-		if _, ok := v[elem]; ok {
-			return v, nil
+		if _, ok := v.find(elem); ok {
+			return s, nil
 		}
-		out := make(setState, len(v)+1)
-		for k := range v {
-			out[k] = struct{}{}
-		}
-		out[elem] = struct{}{}
-		return out, nil
+		return v.with(elem, struct{}{}), nil
 	case OpClear:
-		return setState{}, nil
+		return setState(nil), nil
 	case OpMembers:
-		return v, sortedKeys(v)
+		out := make([]string, len(v))
+		for i, e := range v {
+			out[i] = e.k
+		}
+		return s, out
 	default:
 		panic(fmt.Sprintf("gset: unknown operation %q", inv.Op))
 	}
 }
 
 // Equal compares states as sets.
-func (GSet) Equal(a, b spec.State) bool {
-	x, y := a.(setState), b.(setState)
-	if len(x) != len(y) {
-		return false
-	}
-	for k := range x {
-		if _, ok := y[k]; !ok {
-			return false
-		}
-	}
-	return true
-}
+func (GSet) Equal(a, b spec.State) bool { return slices.Equal(a.(setState), b.(setState)) }
 
 // Key encodes the state canonically and injectively: the sorted
-// elements, each quoted (see mapKey).
-func (GSet) Key(s spec.State) string {
-	return mapKey(s.(setState), func(b []byte, _ struct{}) []byte { return b })
-}
+// elements, each length-prefixed (see sorted.key).
+func (GSet) Key(s spec.State) string { return s.(setState).key() }
 
 // Commutes: adds commute with adds (set union is order-independent),
 // members with members, clears with clears (both end empty with nil
@@ -110,8 +97,8 @@ func (GSet) SampleInvocations() []spec.Inv {
 func (GSet) SampleStates() []spec.State {
 	return []spec.State{
 		setState{},
-		setState{"x": {}},
-		setState{"x": {}, "y": {}, "z": {}},
+		setState{{k: "x"}},
+		setState{{k: "x"}, {k: "y"}, {k: "z"}},
 	}
 }
 

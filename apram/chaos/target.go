@@ -63,8 +63,9 @@ func targets() map[string]*target {
 	}
 	add(serveTarget(types.Counter{}))
 	add(serveTarget(types.GSet{}))
-	add(truncateTarget(types.Counter{}, false))
-	add(truncateTarget(types.GSet{}, false))
+	for _, s := range types.Property1Types() {
+		add(truncateTarget(s, false))
+	}
 	add(truncateTarget(types.Counter{}, true))
 	add(shardTarget("shard-counter", types.KCounter{}, false))
 	add(shardTarget("shard-gset", types.GSet{}, false))

@@ -2,6 +2,8 @@ package chaos
 
 import (
 	"testing"
+
+	"repro/internal/types"
 )
 
 // truncateEvents sums the "truncate" (epoch-complete) events the run's
@@ -22,8 +24,10 @@ func truncateEvents(rep *Report) uint64 {
 // built-in oracle), linearizable, and within the wait-freedom bounds.
 // Crashed processes never ack an epoch — the epoch stalls, which must
 // be safe, so Epochs > 0 is asserted over the sweep, not per run.
+// Every Property-1 type has a target.
 func TestTruncateTargetsUnderFaults(t *testing.T) {
-	for _, structure := range []string{"truncate-counter", "truncate-gset"} {
+	for _, typ := range types.Property1Types() {
+		structure := "truncate-" + typ.Name()
 		var epochs uint64
 		for _, seed := range ciSeeds {
 			rep, err := Run(Config{Structure: structure, Seed: seed,

@@ -170,7 +170,24 @@ func (mc *Machine) Step(m pram.Memory) {
 			return
 		}
 		mc.scans++
-		mc.decide()
+		mc.i = 0
+		if !mc.mine.Valid {
+			panic("agreement: output invoked before input (X is empty)")
+		}
+		done, next := decide(mc.view, mc.mine, mc.eps, mc.advance)
+		switch {
+		case done:
+			mc.result = mc.mine.Prefer
+			mc.ph = phDone
+		case next.Valid:
+			mc.pending = next
+			mc.ph = phWrite
+		default:
+			if mc.probe != nil {
+				mc.probe.Event(mc.proc, obs.EvRetry)
+			}
+			mc.advance = true
+		}
 
 	case phWrite:
 		// Lines 16–17: advance the entry.
@@ -189,15 +206,16 @@ func (mc *Machine) Step(m pram.Memory) {
 	}
 }
 
-// decide evaluates lines 11–19 after a completed scan.
-func (mc *Machine) decide() {
-	if !mc.mine.Valid {
-		panic("agreement: output invoked before input (X is empty)")
-	}
+// decide is lines 11–19 of Figure 2, shared by Machine and Native: given
+// a completed scan view and the process's own entry mine, it reports
+// done when the process returns mine.Prefer (lines 13–14), else the
+// entry it advances to (line 16), else an invalid next, when it must
+// rescan once first (line 19); advance says it already has.
+func decide(view []Entry, mine Entry, eps float64, advance bool) (done bool, next Entry) {
 	// Line 11: E := {r[Q].prefer : r[Q].round >= r[P].round - 1}
 	// Line 12: L := {r[Q].prefer : r[Q].round = max_Q r[Q].round}
 	maxRound := 0
-	for _, e := range mc.view {
+	for _, e := range view {
 		if e.Valid && e.Round > maxRound {
 			maxRound = e.Round
 		}
@@ -214,14 +232,14 @@ func (mc *Machine) decide() {
 	// Lemma 4 proof covers round-r writes made through line 16 only,
 	// and blocking the round-1 return is what makes X₁ safe.
 	blocked := false
-	for _, e := range mc.view {
+	for _, e := range view {
 		if !e.Valid {
-			if 0 >= mc.mine.Round-1 {
+			if 0 >= mine.Round-1 {
 				blocked = true
 			}
 			continue
 		}
-		if e.Round >= mc.mine.Round-1 {
+		if e.Round >= mine.Round-1 {
 			eMin = math.Min(eMin, e.Prefer)
 			eMax = math.Max(eMax, e.Prefer)
 		}
@@ -231,27 +249,12 @@ func (mc *Machine) decide() {
 		}
 	}
 	switch {
-	case !blocked && eMax-eMin < mc.eps/2:
-		// Lines 13–14: return r[P].prefer.
-		mc.result = mc.mine.Prefer
-		mc.ph = phDone
-	case lMax-lMin < mc.eps/2 || mc.advance:
-		// Line 16: advance to midpoint of the leaders.
-		mc.pending = Entry{
-			Round:  mc.mine.Round + 1,
-			Prefer: (lMin + lMax) / 2,
-			Valid:  true,
-		}
-		mc.ph = phWrite
-		mc.i = 0
-	default:
-		// Line 19: rescan once before advancing.
-		if mc.probe != nil {
-			mc.probe.Event(mc.proc, obs.EvRetry)
-		}
-		mc.advance = true
-		mc.i = 0
+	case !blocked && eMax-eMin < eps/2:
+		return true, Entry{}
+	case lMax-lMin < eps/2 || advance:
+		return false, Entry{Round: mine.Round + 1, Prefer: (lMin + lMax) / 2, Valid: true}
 	}
+	return false, Entry{}
 }
 
 // StepBound is the Theorem 5 upper bound on steps per process:

@@ -2,7 +2,6 @@ package agreement
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"repro/apram/obs"
@@ -77,7 +76,7 @@ func (a *Native) Output(p int) float64 {
 	if a.probe != nil {
 		a.probe.OpBegin(p, obs.OpAgree)
 	}
-	mine := a.regs[p].Load()
+	mine := *a.regs[p].Load()
 	if !mine.Valid {
 		panic("agreement: Output before Input")
 	}
@@ -85,50 +84,24 @@ func (a *Native) Output(p int) float64 {
 	// operation returns.
 	reads, writes := 1, 0
 	advance := false
-	view := make([]*Entry, len(a.regs))
+	view := make([]Entry, len(a.regs))
 	for {
 		for i := range a.regs {
-			view[i] = a.regs[i].Load()
+			view[i] = *a.regs[i].Load()
 		}
 		reads += len(a.regs)
-		maxRound := 0
-		for _, e := range view {
-			if e.Valid && e.Round > maxRound {
-				maxRound = e.Round
-			}
-		}
-		eMin, eMax := math.Inf(1), math.Inf(-1)
-		lMin, lMax := math.Inf(1), math.Inf(-1)
-		// See Machine.decide: a ⊥ entry inside the round window blocks
-		// the round-1 return so late inputs cannot break agreement.
-		blocked := false
-		for _, e := range view {
-			if !e.Valid {
-				if 0 >= mine.Round-1 {
-					blocked = true
-				}
-				continue
-			}
-			if e.Round >= mine.Round-1 {
-				eMin = math.Min(eMin, e.Prefer)
-				eMax = math.Max(eMax, e.Prefer)
-			}
-			if e.Round == maxRound {
-				lMin = math.Min(lMin, e.Prefer)
-				lMax = math.Max(lMax, e.Prefer)
-			}
-		}
+		done, next := decide(view, mine, a.eps, advance)
 		switch {
-		case !blocked && eMax-eMin < a.eps/2:
+		case done:
 			if a.probe != nil {
 				a.probe.RegReads(p, reads)
 				a.probe.RegWrites(p, writes)
 				a.probe.OpDone(p, obs.OpAgree)
 			}
 			return mine.Prefer
-		case lMax-lMin < a.eps/2 || advance:
-			mine = &Entry{Round: mine.Round + 1, Prefer: (lMin + lMax) / 2, Valid: true}
-			a.regs[p].Store(mine)
+		case next.Valid:
+			mine = next
+			a.regs[p].Store(&Entry{Round: next.Round, Prefer: next.Prefer, Valid: true})
 			writes++
 			if a.probe != nil {
 				a.probe.Event(p, obs.EvRound)

@@ -26,15 +26,16 @@ import (
 // Four caches cooperate:
 //
 //  1. the entry graph, extended in place: entries already indexed are
-//     never revisited, and discovery is iterative (no recursion) with
-//     a generation-stamped visited set;
+//     never revisited, and discovery is iterative (no recursion), with
+//     the entries on its stack held in the index under id −1;
 //  2. ancestor closures as dense bitsets keyed by a stable node id,
 //     computed by OR-ing the parents' closures;
 //  3. the linearization order, into which the new entries are merged
 //     by running Figure 3 over them alone (see merge), with a fall-back
 //     to a full rebuild when an old entry outside a new entry's
-//     ancestor closure dominates it — fallbacks are counted and
-//     surfaced as obs.EvLinRebuild;
+//     ancestor closure dominates it. A rebuild is the same merge into
+//     an emptied order, so every order comes from one Figure 3 + Kahn
+//     path; fallbacks are counted and surfaced as obs.EvLinRebuild;
 //  4. sequential-replay checkpoints: the spec state at the frontier of
 //     the previous linearization and at positions at most ckptSpacing
 //     apart along it, each validated via spec.Key before reuse, so
@@ -54,17 +55,12 @@ type Linearizer struct {
 	// are assigned before it), so closures can be built by OR-ing
 	// parents.
 	nodes []node
-	index map[*Entry]int32 // entry -> stable node id
+	index map[*Entry]int32 // entry -> stable node id, −1 while extend walks it
 
 	// live mirrors len(nodes) for Retained, which observers on other
 	// goroutines (telemetry gauges, samplers) call while the owning
 	// process extends and truncates the index.
 	live atomic.Int64
-
-	// gen stamps the visited set used during discovery so one map
-	// serves every call without clearing.
-	gen     uint32
-	visited map[*Entry]uint32
 
 	// order is the current linearization of all indexed entries and ord
 	// the same as stable ids; state is the spec state after replaying
@@ -140,7 +136,6 @@ func NewLinearizer(s spec.Spec) *Linearizer {
 	l := &Linearizer{
 		s:           s,
 		index:       map[*Entry]int32{},
-		visited:     map[*Entry]uint32{},
 		state:       st,
 		base:        st,
 		incremental: true,
@@ -246,7 +241,11 @@ func (l *Linearizer) Refresh(view []*Entry) error {
 			return nil
 		}
 	}
-	if err := l.rebuild(); err != nil {
+	// Fall back to a full rebuild, the reference computation: a merge of
+	// every entry into an emptied order. Only the index and the closures,
+	// which do not depend on the order, are reused.
+	l.ord, l.order = l.ord[:0], l.order[:0]
+	if _, err := l.merge(0); err != nil {
 		return err
 	}
 	l.rebuilds++
@@ -256,10 +255,10 @@ func (l *Linearizer) Refresh(view []*Entry) error {
 // extend indexes every entry reachable from view that is not already
 // indexed, computing its ancestor closure and rank stamp. New entries
 // get the ids from the old count up, in dependency order (ancestors
-// before descendants). The walk is iterative; the generation-stamped
-// visited map keeps a single allocation serving every call.
+// before descendants). The walk is iterative, and an entry it has
+// pushed but not yet numbered sits in the index under id −1, so the
+// index alone tells it which entries to skip.
 func (l *Linearizer) extend(view []*Entry) {
-	l.gen++
 	type frame struct {
 		e    *Entry
 		next int // index of the next Prev pointer to examine
@@ -272,10 +271,7 @@ func (l *Linearizer) extend(view []*Entry) {
 		if _, ok := l.index[e]; ok {
 			return
 		}
-		if l.visited[e] == l.gen {
-			return
-		}
-		l.visited[e] = l.gen
+		l.index[e] = -1
 		stack = append(stack, frame{e: e})
 	}
 	// One full stack drain per root: within a drain, every node on the
@@ -373,7 +369,9 @@ func (l *Linearizer) figure3(ids []int32) (*lingraph.Lin, error) {
 // The order is rewritten from the lowest position a fresh entry could
 // take, and the replay resumes at the first position the merge changed:
 // from the frontier state when every fresh entry lands after the last
-// old one, otherwise from the last checkpoint at or before it.
+// old one, otherwise from the last checkpoint at or before it. With O
+// empty (a rebuild, oldN = 0) nothing can dominate, every bound is −1
+// and the placement is Kahn's rule over L(F) alone, lingraph's Order.
 func (l *Linearizer) merge(oldN int) (bool, error) {
 	nf := len(l.nodes) - oldN
 	m := int32(len(l.ord))
@@ -422,11 +420,7 @@ func (l *Linearizer) merge(oldN int) (bool, error) {
 	}
 	left := make([]int, nf) // unplaced predecessors in L(F); -1 once placed
 	for v := range left {
-		for u := range left {
-			if lin.HasPath(u, v) {
-				left[v]++
-			}
-		}
+		left[v] = lin.InDegree(v)
 	}
 	tail := make([]int32, 0, int(m-start)+nf)
 	i, from := start, m // from: the first position the merge changes
@@ -444,8 +438,8 @@ func (l *Linearizer) merge(oldN int) (bool, error) {
 		left[c] = -1
 		placed++
 		tail = append(tail, fr[c])
-		for v := range left {
-			if lin.HasPath(c, v) {
+		for v := range left { // only an entry still waiting can follow c
+			if left[v] > 0 && lin.HasPath(c, v) {
 				left[v]--
 			}
 		}
@@ -461,36 +455,12 @@ func (l *Linearizer) merge(oldN int) (bool, error) {
 	return true, l.sync(int(from), int(m))
 }
 
-// rebuild recomputes the linearization of every indexed entry from
-// scratch — the reference (uncached) computation, reusing only the
-// entry index and the ancestor closures (both independent of order).
-func (l *Linearizer) rebuild() error {
-	ids := make([]int32, len(l.nodes))
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	slices.SortFunc(ids, l.rank)
-	lin, err := l.figure3(ids)
-	if err != nil {
-		return err
-	}
-	l.ord, l.order = l.ord[:0], l.order[:0]
-	for p, r := range lin.Order() {
-		nd := &l.nodes[ids[r]]
-		nd.pos = int32(p)
-		l.ord = append(l.ord, ids[r])
-		l.order = append(l.order, nd.e)
-	}
-	l.rewritten += uint64(len(l.ord))
-	return l.sync(0, 0)
-}
-
 // sync brings the replay state to the end of the order after a change
 // that left order[:from] as it was; prev is the order's length at the
 // previous sync, the prefix the frontier state covers. The replay
 // resumes from the frontier state if prev ≤ from, else from the last
 // checkpoint at or before from, dropping those past it, else from base
-// (rebuild passes 0, 0). It records a checkpoint whenever it passes
+// (a rebuild passes 0, 0). It records a checkpoint whenever it passes
 // ckptSpacing entries beyond the last one. The state a replay starts
 // from is validated through spec.Key first: if a spec violated
 // immutability and a memoized state drifted from its recorded key, the
@@ -645,9 +615,7 @@ func (l *Linearizer) Truncate(w uint64) (removed int, boundary []*Entry, err err
 		}
 	}
 	// Fresh order backing arrays: the old ones keep fold-set pointers
-	// alive past the cut otherwise. The visited map is rebuilt for the
-	// same reason (its keys are freed entries), and so that a Go map's
-	// never-shrinking bucket array does not keep a backlog spike's size.
+	// alive past the cut otherwise.
 	newOrder := make([]*Entry, len(l.order)-k)
 	copy(newOrder, l.order[k:])
 	newOrd := make([]int32, len(newOrder))
@@ -666,8 +634,6 @@ func (l *Linearizer) Truncate(w uint64) (removed int, boundary []*Entry, err err
 		l.ckpts[i].pos -= k
 	}
 	l.live.Store(int64(len(survivors)))
-	l.visited = map[*Entry]uint32{}
-	l.gen = 0
 	l.base, l.baseKey = newBase, l.key(newBase)
 	l.truncations++
 	l.truncated += uint64(k)

@@ -78,8 +78,12 @@ const (
 
 // watchSoak polls until done is closed. It stores the first live-heap
 // sample (as of the last GC) above limit in over, or sets late once
-// deadline passes.
+// deadline passes. It starts from a forced GC: the sample otherwise
+// reports whatever an earlier test left live at the last collection,
+// and a heap that once tripped the limit would trip every later watch
+// in the same binary before the next GC.
 func watchSoak(limit uint64, deadline time.Time, over *atomic.Uint64, late *atomic.Bool, done <-chan struct{}) {
+	runtime.GC()
 	sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
 	tick := time.NewTicker(50 * time.Millisecond)
 	defer tick.Stop()
@@ -98,6 +102,24 @@ func watchSoak(limit uint64, deadline time.Time, over *atomic.Uint64, late *atom
 			over.Store(v)
 			return
 		}
+	}
+}
+
+// TestWatchSoakStartsFromFreshHeap drops tens of megabytes that the
+// last collection saw live, then watches with a limit below them: the
+// watch must sample the heap as it is now, not as of that collection.
+func TestWatchSoakStartsFromFreshHeap(t *testing.T) {
+	const size = 64 << 20
+	ballast := make([]byte, size)
+	runtime.GC()
+	runtime.KeepAlive(ballast)
+	var over atomic.Uint64
+	var late atomic.Bool
+	done := make(chan struct{})
+	time.AfterFunc(200*time.Millisecond, func() { close(done) })
+	watchSoak(size/2, time.Now().Add(time.Minute), &over, &late, done)
+	if v := over.Load(); v != 0 {
+		t.Fatalf("watch reported a live heap of %d bytes (limit %d) after the ballast was dropped", v, size/2)
 	}
 }
 

@@ -162,16 +162,25 @@ func (l *Lin) Unrelated(u, v int) bool {
 	return u != v && !l.HasPath(u, v) && !l.HasPath(v, u)
 }
 
+// InDegree returns the number of nodes with a path to v in L(G): v's
+// in-degree in the transitive closure, the count Kahn's rule over the
+// closures waits on before v is ready.
+func (l *Lin) InDegree(v int) int {
+	n := 0
+	for _, w := range l.anc[v] {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
 // Order returns a deterministic topological sort of L(G): among ready
 // nodes, the lowest index first (Kahn's rule over the closures, where a
 // node is ready once every node reaching it is placed). This is a
 // linearization in the sense of Definition 19.
 func (l *Lin) Order() []int {
 	left := make([]int, l.k) // unplaced nodes reaching v; -1 once v is placed
-	for v, a := range l.anc {
-		for _, w := range a {
-			left[v] += bits.OnesCount64(w)
-		}
+	for v := range left {
+		left[v] = l.InDegree(v)
 	}
 	out := make([]int, 0, l.k)
 	for len(out) < l.k {

@@ -619,29 +619,33 @@ func BenchmarkUniversalRebuildAblation(b *testing.B) {
 }
 
 // BenchmarkScanJoinAblation ablates the in-place join fast path of the
-// native snapshot (DESIGN.md decision 2 / EXPERIMENTS.md E7 caveat):
-// "generic" forces element-allocating joins by hiding the InPlace
-// methods behind a plain Lattice wrapper, "inplace" uses the fast
-// path.
+// native snapshot (DESIGN.md decision 10 / EXPERIMENTS.md E7 caveat).
+// Both arms join copy-on-write: a pass copies its value only at its
+// first join of two incomparable vectors, so a scan that meets nothing
+// new copies nothing in either arm. What the arms ablate is the rest
+// of a pass that does copy. Each iteration processes 3, 2, 1 and 0
+// publish in turn, so every scan's first pass meets several vectors
+// incomparable with its running join: "generic" hides the InPlace
+// methods behind a plain Lattice wrapper and allocates a fresh vector
+// for each of them, "inplace" copies once into a private accumulator
+// and joins the rest in place.
 func BenchmarkScanJoinAblation(b *testing.B) {
 	const n = 16
 	vl := lattice.Vector{N: n}
-	b.Run("generic", func(b *testing.B) {
-		s := snapshot.New(n, hideInPlace{vl})
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.Scan(0, vl.Single(0, uint64(i+1), i))
+	arm := func(lat lattice.Lattice) func(b *testing.B) {
+		return func(b *testing.B) {
+			s := snapshot.New(n, lat)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for p := 3; p >= 0; p-- {
+					s.Scan(p, vl.Single(p, uint64(i+1), i))
+				}
+			}
 		}
-	})
-	b.Run("inplace", func(b *testing.B) {
-		s := snapshot.New(n, vl)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.Scan(0, vl.Single(0, uint64(i+1), i))
-		}
-	})
+	}
+	b.Run("generic", arm(hideInPlace{vl}))
+	b.Run("inplace", arm(vl))
 }
 
 // hideInPlace strips the InPlace extension from a lattice so the

@@ -200,6 +200,32 @@ func TestPanickingInvocationLeavesSlotUsable(t *testing.T) {
 	}
 }
 
+// TestExecuteAllocs pins the allocation floor of native Execute on an
+// n = 8 counter whose history is already long. A Read is one scan that
+// meets nothing new, so its passes copy nothing: nine register boxes,
+// the view, the state and response boxes, and the frontier's key. An
+// Inc adds the publication scan, the entry and its vector, and the
+// linearizer's work on one fresh entry (its closure, Figure 3 over it
+// and one replay step, which builds no response).
+func TestExecuteAllocs(t *testing.T) {
+	const n = 8
+	u := New(types.Counter{}, n)
+	for i := 0; i < 200; i++ {
+		u.Execute(i%n, types.Inc(1))
+	}
+	for _, c := range []struct {
+		inv spec.Inv
+		max float64
+	}{
+		{types.Inc(1), 36},
+		{types.Read(), 13},
+	} {
+		if got := testing.AllocsPerRun(100, func() { u.Execute(0, c.inv) }); got > c.max {
+			t.Errorf("Execute(%v): %.0f allocs, want at most %.0f", c.inv, got, c.max)
+		}
+	}
+}
+
 func TestNewCheckedRejectsQueue(t *testing.T) {
 	q := types.Queue{}
 	if _, err := NewChecked(q, 2, q.SampleStates(), q.SampleInvocations()); err == nil {

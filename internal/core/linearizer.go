@@ -96,7 +96,7 @@ type Linearizer struct {
 	// stats, exposed via Stats.
 	calls, extensions, rebuilds, checkpointMisses uint64
 	linearized, replayed, rewritten, keyed        uint64
-	truncations, truncated                        uint64
+	truncations, truncated, folded                uint64
 
 	// incremental disabled forces the full-rebuild path on every call
 	// (the ablation arm of the long-history benchmarks).
@@ -171,10 +171,12 @@ type LinStats struct {
 	Replayed   uint64
 	Rewritten  uint64
 	Keyed      uint64
-	// Truncations counts successful Truncate folds, and Truncated the
-	// total entries those folds freed from this engine's index.
+	// Truncations counts successful Truncate folds, Truncated the
+	// total entries those folds freed from this engine's index, and
+	// Folded the invocations the folds applied to reach their new base.
 	Truncations uint64
 	Truncated   uint64
+	Folded      uint64
 }
 
 // Stats returns the engine's counters.
@@ -190,6 +192,7 @@ func (l *Linearizer) Stats() LinStats {
 		Keyed:            l.keyed,
 		Truncations:      l.truncations,
 		Truncated:        l.truncated,
+		Folded:           l.folded,
 	}
 }
 
@@ -333,8 +336,14 @@ func (l *Linearizer) dominates(a, b *Entry) bool {
 // order, handing lingraph their closures renumbered by position in ids.
 func (l *Linearizer) figure3(ids []int32) (*lingraph.Lin, error) {
 	prec := make([]lingraph.Bits, len(ids))
+	words := 0 // prec[r] holds indices below r
+	for r := range ids {
+		words += (r + 63) / 64
+	}
+	slab := make(lingraph.Bits, words) // every closure, in one allocation
 	for r, id := range ids {
-		prec[r] = lingraph.NewBits(r)
+		w := (r + 63) / 64
+		prec[r], slab = slab[:w:w], slab[w:]
 		for q, a := range ids[:r] {
 			if l.nodes[id].anc.Has(int(a)) {
 				prec[r].Set(q)
@@ -392,6 +401,11 @@ func (l *Linearizer) merge(oldN int) (bool, error) {
 	after := make([]int32, nf)
 	start := m
 	for _, id := range fr {
+		if oldN == 0 {
+			// A rebuild: there is nothing to follow or be dominated by.
+			after[id] = -1
+			continue
+		}
 		f, a, dominated := l.nodes[id].e, int32(-1), false
 		for _, p := range f.Prev {
 			if pid, ok := l.index[p]; ok && int(pid) < oldN {
@@ -473,10 +487,7 @@ func (l *Linearizer) sync(from, prev int) error {
 	if from >= prev && prev > 0 {
 		at, st, key = prev, l.state, l.stateKey
 	} else {
-		j := len(l.ckpts)
-		for j > 0 && l.ckpts[j-1].pos > from {
-			j--
-		}
+		j := l.ckptsUpTo(from)
 		l.ckpts = slices.Delete(l.ckpts, j, len(l.ckpts))
 		if j > 0 {
 			c := l.ckpts[j-1]
@@ -496,7 +507,7 @@ func (l *Linearizer) sync(from, prev int) error {
 	}
 	n := len(l.order)
 	for p := at; p < n; {
-		st, _ = l.s.Apply(st, l.order[p].Inv)
+		st = spec.Advance(l.s, st, l.order[p].Inv)
 		if p++; p-last == ckptSpacing && p < n {
 			l.ckpts = append(l.ckpts, checkpoint{p, st, l.key(st)})
 			last = p
@@ -511,6 +522,16 @@ func (l *Linearizer) sync(from, prev int) error {
 		l.ckpts = append(l.ckpts, checkpoint{n, st, key})
 	}
 	return nil
+}
+
+// ckptsUpTo returns the j for which ckpts[:j] are the checkpoints at
+// or before position pos.
+func (l *Linearizer) ckptsUpTo(pos int) int {
+	j := len(l.ckpts)
+	for j > 0 && l.ckpts[j-1].pos > pos {
+		j--
+	}
+	return j
 }
 
 // key is spec.Key, counted in LinStats.Keyed.
@@ -544,7 +565,10 @@ var ErrTruncatePrefix = errors.New("core: watermark entries are not a linearizat
 // folds to the identical base state. The order-prefix check below
 // verifies that the fold set is exactly ranks 0..k-1; the fold is a
 // replay of those ranks, which a total, deterministic spec makes
-// exactly the state the untruncated engine reaches at rank k.
+// exactly the state the untruncated engine reaches at rank k. It
+// starts from the last replay checkpoint at or before rank k, validated
+// through spec.Key like every reused state; a checkpoint that fails
+// the check is counted as a miss and the fold starts from base.
 //
 // On success it returns the number of entries freed and the surviving
 // entries whose Prev arrays still point into the fold set (the cut
@@ -571,13 +595,22 @@ func (l *Linearizer) Truncate(w uint64) (removed int, boundary []*Entry, err err
 		}
 	}
 
-	// Fold: replay the prefix onto base, once base is known intact.
+	// Fold: once base is known intact, replay the prefix from the last
+	// checkpoint at or before k if it passes its Key check, else from
+	// base.
 	if l.key(l.base) != l.baseKey {
 		return 0, nil, ErrBaseMutated
 	}
-	newBase := l.base
-	for _, e := range l.order[:k] {
-		newBase, _ = l.s.Apply(newBase, e.Inv)
+	at, newBase, j := 0, l.base, l.ckptsUpTo(k)
+	if j > 0 {
+		if c := l.ckpts[j-1]; l.key(c.st) == c.key {
+			at, newBase = c.pos, c.st
+		} else {
+			l.checkpointMisses++
+		}
+	}
+	for _, e := range l.order[at:k] {
+		newBase = spec.Advance(l.s, newBase, e.Inv)
 	}
 
 	// Rebuild the index over the survivors. Survivors keep their
@@ -625,11 +658,7 @@ func (l *Linearizer) Truncate(w uint64) (removed int, boundary []*Entry, err err
 	l.nodes, l.index, l.order, l.ord = survivors, newIndex, newOrder, newOrd
 	// Checkpoints inside the fold set are superseded by the new base; the
 	// rest move down with the order.
-	d := 0
-	for d < len(l.ckpts) && l.ckpts[d].pos <= k {
-		d++
-	}
-	l.ckpts = slices.Delete(l.ckpts, 0, d)
+	l.ckpts = slices.Delete(l.ckpts, 0, j)
 	for i := range l.ckpts {
 		l.ckpts[i].pos -= k
 	}
@@ -637,5 +666,6 @@ func (l *Linearizer) Truncate(w uint64) (removed int, boundary []*Entry, err err
 	l.base, l.baseKey = newBase, l.key(newBase)
 	l.truncations++
 	l.truncated += uint64(k)
+	l.folded += uint64(k - at)
 	return k, boundary, nil
 }

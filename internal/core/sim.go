@@ -19,6 +19,10 @@ type SimUniversal struct {
 	Spec spec.Spec
 	Lay  snapshot.Layout
 	VL   lattice.Vector
+
+	// bot is VL.Bottom(), the argument of every ReadMax: a scan never
+	// writes through its argument, so one element serves them all.
+	bot any
 }
 
 // NewSim lays out an n-process universal object starting at register
@@ -27,7 +31,7 @@ func NewSim(s spec.Spec, n, base int, m pram.Memory) *SimUniversal {
 	vl := lattice.Vector{N: n}
 	lay := snapshot.Layout{Base: base, N: n}
 	lay.Install(m, vl)
-	return &SimUniversal{Spec: s, Lay: lay, VL: vl}
+	return &SimUniversal{Spec: s, Lay: lay, VL: vl, bot: vl.Bottom()}
 }
 
 // Regs returns how many registers the object occupies.
@@ -203,7 +207,7 @@ func (mc *Machine) truncTick(m pram.Memory) (scanned bool) {
 		panic("core: TruncTick mid-operation")
 	}
 	if scanned = mc.tr.needsRefresh(mc.proc, mc.lin); scanned {
-		mc.scan.Enqueue(mc.u.VL.Bottom())
+		mc.scan.Enqueue(mc.u.bot)
 		for !mc.scan.Done() {
 			mc.scan.Step(m)
 		}
@@ -234,7 +238,7 @@ func (mc *Machine) Step(m pram.Memory) {
 		mc.cur = mc.script[mc.next]
 		mc.next++
 		// Step 1 of Figure 4: atomic scan of the anchor array.
-		mc.scan.Enqueue(mc.u.VL.Bottom())
+		mc.scan.Enqueue(mc.u.bot)
 		mc.ph = simReading
 	case simReading, simPublishing:
 	default:

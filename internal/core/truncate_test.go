@@ -286,6 +286,71 @@ func TestLinearizerTruncatePrefixError(t *testing.T) {
 	}
 }
 
+// TestLinearizerFoldFromCheckpoint: Truncate folds the prefix from the
+// last replay checkpoint at or before the fold boundary, not from base,
+// and counts the invocations it applies in LinStats.Folded. Like every
+// reused state the checkpoint is validated through spec.Key first: a
+// corrupted one is counted as a miss, the fold starts from base, and
+// every later read is exact, including one that replays from the new
+// base.
+func TestLinearizerFoldFromCheckpoint(t *testing.T) {
+	const c = ckptSpacing
+	for _, tc := range []struct {
+		name           string
+		corrupt        bool
+		folded, misses uint64
+	}{
+		{"intact", false, 4, 0},     // the boundary c+4 lies 4 past the checkpoint
+		{"corrupt", true, c + 4, 1}, // the whole prefix, from base
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := NewLinearizer(types.Counter{})
+			// P0 publishes a chain of c+8 Incs, so the order holds one
+			// checkpoint, at position c.
+			chain := make([]*Entry, c+8)
+			var want int64
+			for i := range chain {
+				prev := make([]*Entry, 2)
+				if i > 0 {
+					prev[0] = chain[i-1]
+				}
+				chain[i] = &Entry{Proc: 0, Seq: uint64(i + 1), Inv: types.Inc(int64(i + 1)), Prev: prev}
+				want += int64(i + 1)
+			}
+			view := []*Entry{chain[c+7], nil}
+			if _, _, err := l.Respond(view, types.Read()); err != nil {
+				t.Fatal(err)
+			}
+			if len(l.ckpts) != 1 || l.ckpts[0].pos != c {
+				t.Fatalf("checkpoints %+v, want one at position %d", l.ckpts, c)
+			}
+			if tc.corrupt {
+				l.ckpts[0].st = int64(-1) // behind the engine's back
+			}
+			if removed, _, err := l.Truncate(c + 4); err != nil || removed != c+4 {
+				t.Fatalf("Truncate: removed %d, err %v; want %d, nil", removed, err, c+4)
+			}
+			if st := l.Stats(); st.Folded != tc.folded || st.CheckpointMisses != tc.misses {
+				t.Fatalf("stats %+v, want Folded %d and %d checkpoint misses", st, tc.folded, tc.misses)
+			}
+			if resp, _, err := l.Respond(view, types.Read()); err != nil || resp.(int64) != want {
+				t.Fatalf("read after the fold %v (err %v), want %d", resp, err, want)
+			}
+			// P1 saw the chain up to chain[c+4]: its Inc lands before
+			// chain[c+6], so the replay restarts from the new base.
+			f := &Entry{Proc: 1, Seq: c + 6, Inv: types.Inc(1000), Prev: []*Entry{chain[c+4], nil}}
+			want += 1000
+			resp, hist, err := l.Respond([]*Entry{chain[c+7], f}, types.Read())
+			if err != nil || resp.(int64) != want || hist[2] != f {
+				t.Fatalf("read %v (err %v) with history %v, want %d with the new entry third", resp, err, hist, want)
+			}
+			if st := l.Stats(); st.CheckpointMisses != tc.misses || st.Rebuilds != 0 {
+				t.Fatalf("stats %+v, want %d checkpoint misses and no rebuild", st, tc.misses)
+			}
+		})
+	}
+}
+
 // TestTruncateSimIdleTick: with traffic on one slot only, epochs can
 // still complete because idle slots are driven via TruncTick (the
 // serving layer's idle path).

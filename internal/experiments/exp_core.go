@@ -125,7 +125,7 @@ func E16LongHistory() Table {
 		Columns: []string{"history length", "cached ns/op", "rebuild ns/op", "speedup", "rebuilds (cached)"},
 	}
 	const n = 4
-	arm := func(h int, incremental bool) (int64, uint64) {
+	build := func(h int, incremental bool) *core.Universal {
 		// Build the history with the cache on (cheap), then time pure
 		// reads: Δ=0 for the cached arm, a full h-entry rebuild per
 		// read for the ablation arm. One warm read keeps the mode
@@ -136,23 +136,21 @@ func E16LongHistory() Table {
 		}
 		u.SetIncremental(incremental)
 		u.Execute(0, types.Read())
-		statsBefore := u.LinStats(0)
-		reads := 100
-		if !incremental {
-			reads = 10
-		}
-		ns := timePerOp(reads, func(int) {
-			u.Execute(0, types.Read())
-		})
-		return ns, u.LinStats(0).Rebuilds - statsBefore.Rebuilds
+		return u
+	}
+	read := func(u *core.Universal) func(int) {
+		return func(int) { u.Execute(0, types.Read()) }
 	}
 	for _, h := range []int{128, 512, 1024} {
-		cachedNs, cachedRebuilds := arm(h, true)
-		rebuildNs, _ := arm(h, false)
-		t.AddRow(h, cachedNs, rebuildNs, float64(rebuildNs)/float64(cachedNs), cachedRebuilds)
+		cached, rebuild := build(h, true), build(h, false)
+		before := cached.LinStats(0).Rebuilds
+		cachedNs, rebuildNs := timeAlternating(100, 10, read(cached), read(rebuild))
+		t.AddRow(h, cachedNs, rebuildNs, float64(rebuildNs)/float64(cachedNs),
+			cached.LinStats(0).Rebuilds-before)
 	}
 	t.Notes = append(t.Notes,
-		"both arms execute the identical operation sequence on the identical object;",
+		"ns/op is each arm's fastest 10-read slice, the two arms timed in alternation;",
+		"both arms execute the identical operation sequence on identical objects;",
 		"only the local cache differs, so the shared-access trace — the quantity the",
 		"paper's cost model counts — is bit-for-bit the same (TestTraceUnchangedByIncrementalCache)")
 	return t

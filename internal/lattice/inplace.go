@@ -3,8 +3,9 @@ package lattice
 // InPlace is an optional fast path for hot join loops: a lattice that
 // can accumulate joins into a mutable scratch value instead of
 // allocating a fresh element per join. The atomic snapshot's inner
-// loop joins n−1 register values per pass; with the generic Join that
-// is n−1 allocations per pass, with InPlace it is one.
+// loop joins n−1 register values per pass. It copies only at a pass's
+// first join of two incomparable values; after that, each generic Join
+// allocates again, while InPlace accumulates into the one copy.
 //
 // Contract: acc values returned by NewAccum are private to the caller
 // until passed to Freeze; Accumulate may mutate acc and must return

@@ -102,11 +102,13 @@ type Lin struct {
 func Build(prec []Bits, dom func(i, j int) bool) (*Lin, error) {
 	k := len(prec)
 	l := &Lin{k: k, anc: make([]Bits, k), prec: prec}
+	w := (k + 63) / 64
+	slab := make(Bits, k*w) // every closure, in one allocation
 	for j, a := range prec {
 		if a.above(j) {
 			return nil, fmt.Errorf("lingraph: closure of node %d names node %d or later", j, j)
 		}
-		l.anc[j] = NewBits(k)
+		l.anc[j] = slab[j*w : (j+1)*w : (j+1)*w]
 		copy(l.anc[j], a)
 	}
 	// The pairwise pass of Figure 3, in rank order: for i < j, try to

@@ -23,6 +23,7 @@ package snapshot
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/lattice"
 	"repro/internal/pram"
@@ -79,8 +80,6 @@ const (
 type ScanMachine struct {
 	proc      int
 	lay       Layout
-	lat       lattice.Lattice
-	ip        lattice.InPlace // non-nil when lat supports in-place joins
 	optimized bool
 
 	queue   []any // pending scan arguments
@@ -88,14 +87,59 @@ type ScanMachine struct {
 	local   []any // local copy of own registers scan[proc][0..n+1]
 
 	ph  scanPhase
-	cur any // argument of the operation in progress
-	i   int // current pass, 1..n+1
-	q   int // reads completed within the current pass
-	// acc is the running join for the current pass. With ip set it is
-	// a private in-place accumulator while ph == phPass (one
-	// allocation per pass, as in Snapshot.Scan) and frozen before it
-	// is written or returned.
-	acc any
+	cur any      // argument of the operation in progress
+	i   int      // current pass, 1..n+1
+	q   int      // reads completed within the current pass
+	acc passJoin // the running join of row 0 or of the current pass
+}
+
+// passJoin is the running join of one Figure 5 pass (or of line 2's
+// v ∨ scan[P][0]), copied only when a join needs it. Its value stays
+// borrowed, an immutable element already held such as a local copy or
+// a register value just read, while each join leaves it unchanged
+// (operand ≤ value) or takes the operand whole (value ≤ operand). The
+// first join of two incomparable elements copies it into a private
+// lattice.InPlace accumulator, which the pass's later joins mutate; a
+// lattice without InPlace joins them with Join. Both shortcuts are
+// exact because Leq(a, b) iff a ∨ b = b (for the tagged vector, cell
+// for cell, since equal tags carry equal cells), and scan values are
+// comparable (Lemma 32), so after its first pass a scan rarely copies.
+type passJoin struct {
+	lat   lattice.Lattice
+	ip    lattice.InPlace // non-nil when lat supports in-place joins
+	v     any
+	owned bool // v is a private accumulator, not yet frozen
+}
+
+func newPassJoin(lat lattice.Lattice) passJoin {
+	ip, _ := lat.(lattice.InPlace)
+	return passJoin{lat: lat, ip: ip}
+}
+
+// start begins a join at the borrowed element v.
+func (a *passJoin) start(v any) { a.v, a.owned = v, false }
+
+// join folds x into the running join.
+func (a *passJoin) join(x any) {
+	switch {
+	case a.owned:
+		a.v = a.ip.Accumulate(a.v, x)
+	case a.lat.Leq(x, a.v):
+	case a.lat.Leq(a.v, x):
+		a.v = x
+	case a.ip != nil:
+		a.v, a.owned = a.ip.Accumulate(a.ip.NewAccum(a.v), x), true
+	default:
+		a.v = a.lat.Join(a.v, x)
+	}
+}
+
+// end returns the join as an immutable element.
+func (a *passJoin) end() any {
+	if a.owned {
+		a.v, a.owned = a.ip.Freeze(a.v), false
+	}
+	return a.v
 }
 
 // NewScanMachine returns a machine for process proc. If optimized is
@@ -109,8 +153,7 @@ func NewScanMachine(proc int, lay Layout, lat lattice.Lattice, optimized bool) *
 	for i := range local {
 		local[i] = lat.Bottom()
 	}
-	ip, _ := lat.(lattice.InPlace)
-	return &ScanMachine{proc: proc, lay: lay, lat: lat, ip: ip, optimized: optimized, local: local}
+	return &ScanMachine{proc: proc, lay: lay, acc: newPassJoin(lat), optimized: optimized, local: local}
 }
 
 // Enqueue appends a Scan(v) operation to the machine's script. Use the
@@ -143,10 +186,11 @@ func (mc *ScanMachine) Clone() pram.Machine {
 	cp.queue = append([]any(nil), mc.queue...)
 	cp.results = append([]any(nil), mc.results...)
 	cp.local = append([]any(nil), mc.local...)
-	if mc.ip != nil && mc.ph == phPass {
-		// The pass accumulator is mutated in place: a clone stepped
-		// against other register contents needs its own.
-		cp.acc = mc.ip.NewAccum(mc.acc)
+	if mc.acc.owned {
+		// A private accumulator is mutated in place: a clone stepped
+		// against other register contents needs its own. A borrowed
+		// value is never written through, so the two may share it.
+		cp.acc.v = mc.acc.ip.NewAccum(mc.acc.v)
 	}
 	return &cp
 }
@@ -180,12 +224,9 @@ func (mc *ScanMachine) startPass(i int) {
 	mc.ph = phPass
 	mc.i = i
 	mc.q = 0
-	mc.acc = mc.local[i]
-	if mc.ip != nil {
-		mc.acc = mc.ip.NewAccum(mc.acc)
-	}
+	mc.acc.start(mc.local[i])
 	if mc.optimized {
-		mc.join(mc.local[i-1])
+		mc.acc.join(mc.local[i-1])
 		if i == mc.lastPass() && mc.readsPerPass() == 0 {
 			mc.endPass()
 			mc.finish()
@@ -193,28 +234,26 @@ func (mc *ScanMachine) startPass(i int) {
 	}
 }
 
-// join folds x into the pass accumulator.
-func (mc *ScanMachine) join(x any) {
-	if mc.ip != nil {
-		mc.acc = mc.ip.Accumulate(mc.acc, x)
-	} else {
-		mc.acc = mc.lat.Join(mc.acc, x)
-	}
+// writeRow0 completes line 2: it joins the argument into the value
+// acc was started at (the current contents of scan[P][0]), writes the
+// result and begins pass 1.
+func (mc *ScanMachine) writeRow0(m pram.Memory) {
+	mc.acc.join(mc.cur)
+	mc.local[0] = mc.acc.end()
+	m.Write(mc.proc, mc.lay.Reg(mc.proc, 0), mc.local[0])
+	mc.startPass(1)
 }
 
 // endPass freezes the pass accumulator into pass i's value.
 func (mc *ScanMachine) endPass() any {
-	if mc.ip != nil {
-		mc.acc = mc.ip.Freeze(mc.acc)
-	}
-	mc.local[mc.i] = mc.acc
-	return mc.acc
+	mc.local[mc.i] = mc.acc.end()
+	return mc.local[mc.i]
 }
 
 // finish completes the operation in progress with the final pass's
 // value (endPass has run).
 func (mc *ScanMachine) finish() {
-	mc.results = append(mc.results, mc.acc)
+	mc.results = append(mc.results, mc.local[mc.i])
 	mc.ph = phIdle
 }
 
@@ -226,30 +265,27 @@ func (mc *ScanMachine) Step(m pram.Memory) {
 			panic("snapshot: Step after Done")
 		}
 		mc.cur = mc.queue[0]
-		mc.queue = mc.queue[1:]
+		mc.queue = slices.Delete(mc.queue, 0, 1) // keeps the backing array
 		if mc.optimized {
 			// Line 2 without the self-read: the local copy stands in
 			// for the current register contents.
-			mc.local[0] = mc.lat.Join(mc.cur, mc.local[0])
-			m.Write(mc.proc, mc.lay.Reg(mc.proc, 0), mc.local[0])
-			mc.startPass(1)
+			mc.acc.start(mc.local[0])
+			mc.writeRow0(m)
 			return
 		}
 		// Line 2, literal: read scan[P][0] ...
-		mc.acc = m.Read(mc.proc, mc.lay.Reg(mc.proc, 0))
+		mc.acc.start(m.Read(mc.proc, mc.lay.Reg(mc.proc, 0)))
 		mc.ph = phInitWrite
 
 	case phInitWrite:
 		// ... then write v ∨ scan[P][0].
-		mc.local[0] = mc.lat.Join(mc.cur, mc.acc)
-		m.Write(mc.proc, mc.lay.Reg(mc.proc, 0), mc.local[0])
-		mc.startPass(1)
+		mc.writeRow0(m)
 
 	case phPass:
 		if mc.q < mc.readsPerPass() {
 			// Line 5: join in scan[Q][i-1].
 			target := mc.readTarget(mc.q)
-			mc.join(m.Read(mc.proc, mc.lay.Reg(target, mc.i-1)))
+			mc.acc.join(m.Read(mc.proc, mc.lay.Reg(target, mc.i-1)))
 			mc.q++
 			if mc.optimized && mc.i == mc.lastPass() && mc.q == mc.readsPerPass() {
 				// Optimized variant: the very last write is

@@ -3,6 +3,7 @@ package snapshot
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/lattice"
@@ -342,17 +343,18 @@ func TestScanMachineCloneIsolation(t *testing.T) {
 	}
 }
 
-// TestScanMachineInPlace pins the in-place pass accumulation that lets
+// TestScanMachineInPlace pins the copy-on-write pass joins that let
 // the Figure 4 machine run on native atomics at the hand-written
 // Snapshot.Scan's cost. Over the tagged-vector lattice on the native
-// substrate, one machine scan allocates at most two objects more than
-// Snapshot.Scan (without the in-place path it allocates one vector per
-// read), and neither scan allocates more than 40 objects: an n = 8
-// scan joins most of its 63 reads into the accumulator, so a join that
-// allocates (re-boxing the accumulator's slice header, say) breaks the
-// bound. And because the accumulator is mutated in place, a machine
-// cloned mid-pass must own its own: stepping the clone against other
-// register contents must leave the original's result unchanged.
+// substrate an n = 8 scan whose passes meet nothing new copies
+// nothing: it allocates one box per register write and one for its
+// boxed argument, 10 objects, in both bodies. After another process
+// has published into its row 0, the first pass copies once (the new
+// vector and its interface box), and the publication's own register
+// write adds one more. And because a copied accumulator is mutated in
+// place while a borrowed pass value is shared, a machine cloned
+// mid-pass in either state, then stepped against other register
+// contents, must leave the original's result unchanged.
 func TestScanMachineInPlace(t *testing.T) {
 	const n = 8
 	vl := lattice.Vector{N: n}
@@ -360,39 +362,67 @@ func TestScanMachineInPlace(t *testing.T) {
 
 	t.Run("allocs", func(t *testing.T) {
 		arg := vl.Single(0, 1, "x")
+		// pubs[i] is process 1's i-th publication, boxed in advance.
+		pubs := make([]any, 102)
+		for i := range pubs {
+			pubs[i] = vl.Single(1, uint64(i+1), "y")
+		}
 		snap := New(n, vl)
-		want := testing.AllocsPerRun(100, func() { snap.Scan(0, arg) })
 		mem := native.NewMem(lay.Regs(), n)
 		lay.Install(mem, vl)
 		mc := NewScanMachine(0, lay, vl, true)
-		got := testing.AllocsPerRun(100, func() {
-			mc.Enqueue(arg)
-			for !mc.Done() {
-				mc.Step(mem)
-			}
-			mc.DropResults()
-		})
-		if got > want+2 {
-			t.Fatalf("ScanMachine scan: %.0f allocs, Snapshot.Scan: %.0f (allowed +2)", got, want)
+		bodies := []struct {
+			name    string
+			publish func(v any) // process 1 writes v to its row 0
+			scan    func()
+		}{
+			{"Snapshot.Scan", func(v any) { snap.cells[1][0].Store(&box{v}) }, func() { snap.Scan(0, arg) }},
+			{"ScanMachine", func(v any) { mem.Write(1, lay.Reg(1, 0), v) }, func() {
+				mc.Enqueue(arg)
+				for !mc.Done() {
+					mc.Step(mem)
+				}
+				mc.DropResults()
+			}},
 		}
-		if got > 40 || want > 40 {
-			t.Fatalf("ScanMachine scan: %.0f allocs, Snapshot.Scan: %.0f (allowed 40 each)", got, want)
+		for _, c := range []struct {
+			name    string
+			publish bool
+			max     float64
+		}{
+			{"unchanged", false, 10},
+			{"after a publication", true, 13},
+		} {
+			for _, b := range bodies {
+				i := 0
+				got := testing.AllocsPerRun(100, func() {
+					if c.publish {
+						b.publish(pubs[i])
+						i++
+					}
+					b.scan()
+				})
+				if got > c.max {
+					t.Errorf("%s scan %s: %.0f allocs, want at most %.0f", b.name, c.name, got, c.max)
+				}
+			}
 		}
 	})
 
-	t.Run("clone-mid-pass", func(t *testing.T) {
-		mem := pram.NewMem(lay.Regs(), n)
-		lay.Install(mem, vl)
+	// cloneMidPass steps process 0's scan through the row-0 write, pass
+	// 1 (n−1 reads and a write) and two of pass 2's reads, clones the
+	// machine, and lets the clone finish in a world where process n−1
+	// has published into the row pass 2 has yet to read. It returns
+	// whether the pass value was a private copy at the clone, and both
+	// results.
+	cloneMidPass := func(mem *pram.Mem) (owned bool, got, clGot lattice.Vec) {
 		mc := NewScanMachine(0, lay, vl, true)
 		mc.Enqueue(vl.Single(0, 1, "p0"))
-		// The row-0 write, pass 1 (n−1 reads and a write), then two of
-		// pass 2's reads: the accumulator is live.
 		for k := 0; k < n+3; k++ {
 			mc.Step(mem)
 		}
+		owned = mc.acc.owned
 		cl := mc.Clone().(*ScanMachine)
-		// In the clone's world process n−1 has published into the row
-		// pass 2 has yet to read.
 		other := mem.Clone()
 		other.Write(n-1, lay.Reg(n-1, 1), vl.Single(n-1, 7, "late"))
 		for !cl.Done() {
@@ -401,15 +431,136 @@ func TestScanMachineInPlace(t *testing.T) {
 		for !mc.Done() {
 			mc.Step(mem)
 		}
-		got := mc.Results()[0].(lattice.Vec)
-		clGot := cl.Results()[0].(lattice.Vec)
-		if clGot[n-1].Tag != 7 || clGot[0].Tag != 1 {
-			t.Fatalf("clone result %v: want its own write and the late publication", clGot)
-		}
-		if got[n-1].Tag != 0 || got[0].Tag != 1 {
-			t.Fatalf("original result %v saw the clone's register contents", got)
+		return owned, mc.Results()[0].(lattice.Vec), cl.Results()[0].(lattice.Vec)
+	}
+
+	t.Run("clone-mid-pass", func(t *testing.T) {
+		for _, early := range []bool{false, true} {
+			mem := pram.NewMem(lay.Regs(), n)
+			lay.Install(mem, vl)
+			if early {
+				// Process 1's value in row 1, read first in pass 2, is
+				// incomparable with process 0's: the pass copies.
+				mem.Write(1, lay.Reg(1, 1), vl.Single(1, 3, "early"))
+			}
+			owned, got, clGot := cloneMidPass(mem)
+			if owned != early {
+				t.Fatalf("early=%v: pass value owned=%v at the clone, want %v", early, owned, early)
+			}
+			if clGot[n-1].Tag != 7 || clGot[0].Tag != 1 {
+				t.Errorf("early=%v: clone result %v: want its own write and the late publication", early, clGot)
+			}
+			if got[n-1].Tag != 0 || got[0].Tag != 1 {
+				t.Errorf("early=%v: original result %v saw the clone's register contents", early, got)
+			}
+			if early && (got[1].Tag != 3 || clGot[1].Tag != 3) {
+				t.Errorf("early=%v: results %v and %v lost process 1's value", early, got, clGot)
+			}
 		}
 	})
+}
+
+// TestScanNeverWritesThroughBorrowed checks the other half of the
+// copy-on-write rule, on both bodies and both substrates: a pass may
+// take its argument, a local copy or a register value whole, but never
+// writes through it. Processes publish fresh single-cell vectors or
+// read with one shared ⊥ in a random interleaving, so passes meet
+// incomparable values after taking others whole; every argument and
+// every register value written or read must keep the contents it had
+// then.
+func TestScanNeverWritesThroughBorrowed(t *testing.T) {
+	const n, ops = 4, 2000
+	vl := lattice.Vector{N: n}
+	lay := Layout{N: n}
+	bot := vl.Bottom()
+	type kept struct{ v, was lattice.Vec }
+	var seen []kept
+	keep := func(v any) {
+		x := v.(lattice.Vec)
+		seen = append(seen, kept{x, slices.Clone(x)})
+	}
+	check := func(t *testing.T) {
+		t.Helper()
+		for _, k := range seen {
+			if !slices.Equal(k.v, k.was) {
+				t.Fatalf("a scan wrote through a borrowed element: %v became %v", k.was, k.v)
+			}
+		}
+	}
+	// arg returns process p's next scan argument, kept.
+	tags := make([]uint64, n)
+	arg := func(rng *rand.Rand, p int) any {
+		v := bot
+		if rng.Intn(3) > 0 {
+			tags[p]++
+			v = vl.Single(p, tags[p], tags[p])
+		}
+		keep(v)
+		return v
+	}
+	for _, sub := range []struct {
+		name string
+		mem  func() pram.Memory
+	}{
+		{"sim", func() pram.Memory { return pram.NewMem(lay.Regs(), n) }},
+		{"native", func() pram.Memory { return native.NewMem(lay.Regs(), n) }},
+	} {
+		for _, optimized := range []bool{false, true} {
+			t.Run(fmt.Sprintf("ScanMachine/%s/optimized=%v", sub.name, optimized), func(t *testing.T) {
+				seen, tags = nil, make([]uint64, n)
+				m := sub.mem()
+				lay.Install(m, vl)
+				mem := keepMem{m, keep}
+				rng := rand.New(rand.NewSource(1))
+				ms := make([]*ScanMachine, n)
+				for p := range ms {
+					ms[p] = NewScanMachine(p, lay, vl, optimized)
+				}
+				for i := 0; i < ops; i++ {
+					p := rng.Intn(n)
+					if ms[p].Done() {
+						ms[p].Enqueue(arg(rng, p))
+					}
+					ms[p].Step(mem)
+				}
+				check(t)
+			})
+		}
+	}
+	t.Run("Snapshot", func(t *testing.T) {
+		seen, tags = nil, make([]uint64, n)
+		s := New(n, vl)
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < ops/n; i++ {
+			p := rng.Intn(n)
+			s.Scan(p, arg(rng, p))
+			// Scans run one at a time, so every value a later scan
+			// reads is in a register now.
+			for p := range s.cells {
+				for r := range s.cells[p] {
+					keep(s.cells[p][r].Load().v)
+				}
+			}
+			check(t)
+		}
+	})
+}
+
+// keepMem hands every value written or read to keep.
+type keepMem struct {
+	pram.Memory
+	keep func(any)
+}
+
+func (m keepMem) Read(p, r int) pram.Value {
+	v := m.Memory.Read(p, r)
+	m.keep(v)
+	return v
+}
+
+func (m keepMem) Write(p, r int, v pram.Value) {
+	m.keep(v)
+	m.Memory.Write(p, r, v)
 }
 
 func TestLayoutValidation(t *testing.T) {

@@ -22,7 +22,6 @@ type box struct{ v any }
 // regardless of what other goroutines do.
 type Snapshot struct {
 	lat   lattice.Lattice
-	ip    lattice.InPlace // non-nil when lat supports in-place joins
 	n     int
 	cells [][]atomic.Pointer[box] // cells[p][i] = scan[p][i]
 	local [][]any                 // local[p][i], owned by process p
@@ -41,9 +40,6 @@ func New(n int, lat lattice.Lattice) *Snapshot {
 		n:     n,
 		cells: make([][]atomic.Pointer[box], n),
 		local: make([][]any, n),
-	}
-	if ip, ok := lat.(lattice.InPlace); ok {
-		s.ip = ip
 	}
 	bot := &box{lat.Bottom()}
 	for p := 0; p < n; p++ {
@@ -88,39 +84,27 @@ func (s *Snapshot) Scan(p int, v any) any {
 	// n²−1 and n+1 per Scan, and the probe reports what happened, not
 	// the formula. Plain locals: free when no probe is attached.
 	reads, writes := 0, 0
+	acc := newPassJoin(s.lat)
 	// scan[P][0] := v ∨ scan[P][0], self-read elided via local copy.
-	local[0] = s.lat.Join(v, local[0])
+	acc.start(local[0])
+	acc.join(v)
+	local[0] = acc.end()
 	s.cells[p][0].Store(&box{local[0]})
 	writes++
 	for i := 1; i <= s.n+1; i++ {
-		var acc any
-		if s.ip != nil {
-			// In-place fast path: one allocation per pass instead of
-			// one per join (ablated in BenchmarkScanJoinAblation).
-			a := s.ip.NewAccum(local[i])
-			a = s.ip.Accumulate(a, local[i-1])
-			for q := 0; q < s.n; q++ {
-				if q == p {
-					continue
-				}
-				a = s.ip.Accumulate(a, s.cells[q][i-1].Load().v)
-				reads++
+		acc.start(local[i])
+		acc.join(local[i-1])
+		for q := 0; q < s.n; q++ {
+			if q == p {
+				continue
 			}
-			acc = s.ip.Freeze(a)
-		} else {
-			acc = s.lat.Join(local[i], local[i-1])
-			for q := 0; q < s.n; q++ {
-				if q == p {
-					continue
-				}
-				acc = s.lat.Join(acc, s.cells[q][i-1].Load().v)
-				reads++
-			}
+			acc.join(s.cells[q][i-1].Load().v)
+			reads++
 		}
-		local[i] = acc
+		local[i] = acc.end()
 		if i <= s.n {
 			// The final write (to scan[P][n+1]) is unnecessary.
-			s.cells[p][i].Store(&box{acc})
+			s.cells[p][i].Store(&box{local[i]})
 			writes++
 		}
 	}

@@ -237,3 +237,20 @@ func ReplayFrom(s Spec, st State, invs []Inv) (State, []any) {
 	}
 	return st, resps
 }
+
+// Advance returns the state after applying inv to st, for a replay
+// that discards the response. For a batched spec it applies the inner
+// invocations one by one, without building the response slice the
+// batch's Apply would return.
+func Advance(s Spec, st State, inv Inv) State {
+	if b, ok := s.(batched); ok {
+		if invs, ok := BatchOf(inv); ok {
+			for _, in := range invs {
+				st = Advance(b.base, st, in)
+			}
+			return st
+		}
+	}
+	st, _ = s.Apply(st, inv)
+	return st
+}

@@ -85,8 +85,10 @@ func TestCheckpointMakeRestore(t *testing.T) {
 
 // TestCheckpointBatchedDelegation: the serving layer linearizes
 // spec.Batch(s), whose states are s's. A prefix folded through batched
-// invocations is the state the flat prefix folds to under s, and
-// resuming from it, batched or flat, matches the flat full replay.
+// invocations is the state the flat prefix folds to under s, also when
+// it is advanced without responses (spec.Advance, the linearizer's
+// replay step), and resuming from it, batched or flat, matches the
+// flat full replay.
 func TestCheckpointBatchedDelegation(t *testing.T) {
 	for _, s := range Property1Types() {
 		t.Run(s.Name(), func(t *testing.T) {
@@ -107,11 +109,15 @@ func TestCheckpointBatchedDelegation(t *testing.T) {
 					i = j
 				}
 				full, _ := spec.Replay(s, script)
+				adv := b.Init()
 				for c := range batches {
 					ck, _ := spec.Replay(b, batches[:c+1])
 					flat, _ := spec.Replay(s, script[:bounds[c]])
 					if !s.Equal(ck, flat) || b.Key(ck) != s.Key(flat) {
 						t.Fatalf("seed %d batch %d: batched fold %q, flat fold %q", seed, c, b.Key(ck), s.Key(flat))
+					}
+					if adv = spec.Advance(b, adv, batches[c]); b.Key(adv) != b.Key(ck) {
+						t.Fatalf("seed %d batch %d: advanced fold %q, batched fold %q", seed, c, b.Key(adv), b.Key(ck))
 					}
 					viaBatch, _ := spec.ReplayFrom(b, ck, batches[c+1:])
 					viaFlat, _ := spec.ReplayFrom(s, ck, script[bounds[c]:])

@@ -206,10 +206,10 @@ func NewSimulated(s spec.Spec, n int, sc pram.Scheduler) *Universal {
 // Attach before the object is shared.
 func (u *Universal) Instrument(p obs.Probe) {
 	u.probe = p
-	c := u.counters()
 	u.regs = make([][2]uint64, u.n)
 	for q := range u.regs {
-		u.regs[q] = [2]uint64{c.ReadsBy[q], c.WritesBy[q]}
+		r, w := u.countsBy(q)
+		u.regs[q] = [2]uint64{r, w}
 	}
 	for _, mc := range u.mcs {
 		mc.Instrument(p)
@@ -219,20 +219,20 @@ func (u *Universal) Instrument(p obs.Probe) {
 // reportRegs hands the probe slot p's register accesses since its
 // previous report.
 func (u *Universal) reportRegs(p int) {
-	c := u.counters()
-	r, w := c.ReadsBy[p], c.WritesBy[p]
+	r, w := u.countsBy(p)
 	u.probe.RegReads(p, int(r-u.regs[p][0]))
 	u.probe.RegWrites(p, int(w-u.regs[p][1]))
 	u.regs[p] = [2]uint64{r, w}
 }
 
-// counters returns the substrate's access counters, taking the engine
-// lock on the simulated substrate.
-func (u *Universal) counters() pram.Counters {
+// countsBy returns slot p's register accesses so far, taking the
+// engine lock on the simulated substrate.
+func (u *Universal) countsBy(p int) (reads, writes uint64) {
 	if u.eng != nil {
-		return u.eng.counters()
+		u.eng.mu.Lock()
+		defer u.eng.mu.Unlock()
 	}
-	return u.mem.Counters()
+	return u.mem.CountsBy(p)
 }
 
 // N returns the number of process slots.
@@ -300,7 +300,7 @@ func (u *Universal) SimCounters() pram.Counters {
 	if u.eng == nil {
 		panic("core: SimCounters on a native-backend object")
 	}
-	return u.counters()
+	return u.eng.counters()
 }
 
 // StepClock returns a deterministic clock over the simulated

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/apram/obs"
 	"repro/internal/history"
 	"repro/internal/lincheck"
 	"repro/internal/spec"
@@ -202,26 +203,34 @@ func TestPanickingInvocationLeavesSlotUsable(t *testing.T) {
 
 // TestExecuteAllocs pins the allocation floor of native Execute on an
 // n = 8 counter whose history is already long. A Read is one scan that
-// meets nothing new, so its passes copy nothing: nine register boxes,
-// the view, the state and response boxes, and the frontier's key. An
-// Inc adds the publication scan, the entry and its vector, and the
-// linearizer's work on one fresh entry (its closure, Figure 3 over it
-// and one replay step, which builds no response).
+// meets nothing new, so its passes copy nothing: its nine register
+// boxes come from the slot's slabs of 16, and it allocates the view,
+// the state and response boxes, and the frontier's key. An Inc adds
+// the publication scan, the entry and its vector, and the linearizer's
+// work on one fresh entry (its closure, Figure 3 over it and one
+// replay step, which builds no response). An attached probe adds
+// nothing: the operation's register counts are two per-slot counter
+// reads.
 func TestExecuteAllocs(t *testing.T) {
 	const n = 8
-	u := New(types.Counter{}, n)
-	for i := 0; i < 200; i++ {
-		u.Execute(i%n, types.Inc(1))
-	}
-	for _, c := range []struct {
-		inv spec.Inv
-		max float64
-	}{
-		{types.Inc(1), 36},
-		{types.Read(), 13},
-	} {
-		if got := testing.AllocsPerRun(100, func() { u.Execute(0, c.inv) }); got > c.max {
-			t.Errorf("Execute(%v): %.0f allocs, want at most %.0f", c.inv, got, c.max)
+	for _, probe := range []obs.Probe{nil, obs.NewStats(n)} {
+		u := New(types.Counter{}, n)
+		if probe != nil {
+			u.Instrument(probe)
+		}
+		for i := 0; i < 200; i++ {
+			u.Execute(i%n, types.Inc(1))
+		}
+		for _, c := range []struct {
+			inv spec.Inv
+			max float64
+		}{
+			{types.Inc(1), 20},
+			{types.Read(), 4},
+		} {
+			if got := testing.AllocsPerRun(100, func() { u.Execute(0, c.inv) }); got > c.max {
+				t.Errorf("Execute(%v) with probe %T: %.0f allocs, want at most %.0f", c.inv, probe, got, c.max)
+			}
 		}
 	}
 }

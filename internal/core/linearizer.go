@@ -93,6 +93,11 @@ type Linearizer struct {
 	// protocol's fold-readiness watermark (see truncate.go).
 	byProc []int
 
+	// stack is extend's walk, kept between calls for its array. A
+	// popped frame is cleared, so the array pins no entry a truncation
+	// frees.
+	stack []walkFrame
+
 	// stats, exposed via Stats.
 	calls, extensions, rebuilds, checkpointMisses uint64
 	linearized, replayed, rewritten, keyed        uint64
@@ -262,11 +267,7 @@ func (l *Linearizer) Refresh(view []*Entry) error {
 // pushed but not yet numbered sits in the index under id −1, so the
 // index alone tells it which entries to skip.
 func (l *Linearizer) extend(view []*Entry) {
-	type frame struct {
-		e    *Entry
-		next int // index of the next Prev pointer to examine
-	}
-	var stack []frame
+	stack := l.stack[:0]
 	push := func(e *Entry) {
 		if e == nil {
 			return
@@ -275,7 +276,7 @@ func (l *Linearizer) extend(view []*Entry) {
 			return
 		}
 		l.index[e] = -1
-		stack = append(stack, frame{e: e})
+		stack = append(stack, walkFrame{e: e})
 	}
 	// One full stack drain per root: within a drain, every node on the
 	// stack lies on the DFS path to the top, so a Prev pointer back to
@@ -296,6 +297,7 @@ func (l *Linearizer) extend(view []*Entry) {
 			// All ancestors are indexed: assign the id and build the
 			// closure from the parents'.
 			e := top.e
+			*top = walkFrame{}
 			stack = stack[:len(stack)-1]
 			id := len(l.nodes)
 			nd := node{e: e, anc: lingraph.NewBits(id), seq: e.Seq}
@@ -317,7 +319,14 @@ func (l *Linearizer) extend(view []*Entry) {
 			l.byProc[e.Proc]++
 		}
 	}
+	l.stack = stack
 	l.live.Store(int64(len(l.nodes)))
+}
+
+// walkFrame is one entry on extend's walk.
+type walkFrame struct {
+	e    *Entry
+	next int // index of the next Prev pointer to examine
 }
 
 // rank orders stable ids by the reference's deterministic key, (seq,

@@ -58,8 +58,9 @@ func E5ScanCounts() Table {
 }
 
 // E7SnapshotComparison benchmarks the four array-snapshot
-// implementations natively and demonstrates the double-collect
-// starvation in the simulator.
+// implementations natively, three of them as the machines the
+// simulator runs, and demonstrates the double-collect starvation in
+// the simulator.
 func E7SnapshotComparison() Table {
 	t := Table{
 		ID:    "E7",
@@ -90,6 +91,8 @@ func E7SnapshotComparison() Table {
 		}
 	}
 	t.Notes = append(t.Notes,
+		"figure5, afek and double-collect step their sim machines on pram/native, with the same",
+		"per-access ownership checks and counts; the mutex guards a plain array",
 		"'sim steps per scan' is measured under a deterministic adversary that updates between collects:",
 		"figure5 stays at its fixed n²+n cost while double-collect starves (∞)",
 		"mutex throughput collapses to zero under E8's stalled-holder fault; see E8")

@@ -195,6 +195,9 @@ func procSet(p int) string {
 // Counters returns a copy of the access counters.
 func (m *Mem) Counters() Counters { return m.c.clone() }
 
+// CountsBy returns process p's reads and writes so far.
+func (m *Mem) CountsBy(p int) (reads, writes uint64) { return m.c.ReadsBy[p], m.c.WritesBy[p] }
+
 // Steps returns the total number of shared accesses so far without
 // cloning the per-process counters — cheap enough to serve as a
 // deterministic clock (one tick per serialized access).

@@ -53,6 +53,9 @@ type Memory interface {
 	Peek(r int) Value
 	// Counters returns a copy of the access counters.
 	Counters() Counters
+	// CountsBy returns process p's reads and writes so far, without
+	// copying the other processes' counters.
+	CountsBy(p int) (reads, writes uint64)
 }
 
 // Both substrates implement Memory.

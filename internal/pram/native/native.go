@@ -34,12 +34,28 @@ import (
 // type behind an atomic pointer (values are immutable once written).
 type box struct{ v pram.Value }
 
-// procCtr is one process's access counters, padded so neighbouring
-// processes' bumps do not share a cache line.
-type procCtr struct {
-	reads, writes atomic.Uint64
-	_             [48]byte
+// cell is one register: its contents beside its configured owner and
+// reader, so a checked access touches one cache line.
+type cell struct {
+	v             atomic.Pointer[box]
+	owner, reader int32
 }
+
+// proc is one process's access counters and the boxes its next writes
+// will fill, padded so neighbouring processes' state does not share a
+// cache line. Only the goroutine driving the process touches slab.
+type proc struct {
+	reads, writes atomic.Uint64
+	slab          []box
+	_             [24]byte
+}
+
+// slabBoxes is how many boxes a process's writes take from one
+// allocation. A box is never reused, so a register may hold it for as
+// long as it likes; but a slab stays live while any register holds one
+// of its boxes, so a register written long ago keeps up to
+// slabBoxes−1 superseded values of its writer reachable.
+const slabBoxes = 16
 
 // Mem is the native memory: pram.Memory over sync/atomic cells.
 //
@@ -47,14 +63,15 @@ type procCtr struct {
 // happen-before the memory is shared between goroutines — exactly the
 // constraint the simulator's "before the simulation starts" documents.
 // After that, any number of goroutines may Read and Write concurrently
-// as long as each respects the ownership discipline; Run and RunTimed
-// arrange the canonical one-goroutine-per-slot drive.
+// as long as each respects the ownership discipline and each process
+// index is driven by one goroutine at a time, as a process's machine
+// already must be; Run and RunTimed arrange the canonical
+// one-goroutine-per-slot drive.
 type Mem struct {
-	cells  []atomic.Pointer[box]
-	owner  []int32
-	reader []int32
+	cells  []cell
+	first  []box // first[r] holds register r's initial contents
 	nproc  int
-	ctr    []procCtr
+	procs  []proc
 	checks bool
 }
 
@@ -68,18 +85,16 @@ func NewMem(size, nproc int) *Mem {
 		panic("native: invalid memory geometry")
 	}
 	m := &Mem{
-		cells:  make([]atomic.Pointer[box], size),
-		owner:  make([]int32, size),
-		reader: make([]int32, size),
+		cells:  make([]cell, size),
+		first:  make([]box, size),
 		nproc:  nproc,
-		ctr:    make([]procCtr, nproc),
+		procs:  make([]proc, nproc),
 		checks: true,
 	}
-	nilBox := &box{}
 	for i := range m.cells {
-		m.cells[i].Store(nilBox)
-		m.owner[i] = pram.NoOwner
-		m.reader[i] = pram.NoOwner
+		m.cells[i].v.Store(&m.first[i])
+		m.cells[i].owner = pram.NoOwner
+		m.cells[i].reader = pram.NoOwner
 	}
 	return m
 }
@@ -96,55 +111,65 @@ func (m *Mem) SetChecks(on bool) { m.checks = on }
 
 // Init sets register r's initial contents without counting an access.
 // Pre-share configuration only.
-func (m *Mem) Init(r int, v pram.Value) { m.cells[r].Store(&box{v}) }
+func (m *Mem) Init(r int, v pram.Value) {
+	m.first[r].v = v
+	m.cells[r].v.Store(&m.first[r])
+}
 
 // SetOwner restricts register r so that only process p may write it.
 // Pre-share configuration only.
-func (m *Mem) SetOwner(r, p int) {
-	if p != pram.NoOwner && (p < 0 || p >= m.nproc) {
-		panic(fmt.Sprintf("native: owner %d out of range", p))
-	}
-	m.owner[r] = int32(p)
-}
+func (m *Mem) SetOwner(r, p int) { m.cells[r].owner = m.restrict("owner", p) }
 
 // SetReader restricts register r so that only process p may read it.
 // Pre-share configuration only.
-func (m *Mem) SetReader(r, p int) {
+func (m *Mem) SetReader(r, p int) { m.cells[r].reader = m.restrict("reader", p) }
+
+func (m *Mem) restrict(role string, p int) int32 {
 	if p != pram.NoOwner && (p < 0 || p >= m.nproc) {
-		panic(fmt.Sprintf("native: reader %d out of range", p))
+		panic(fmt.Sprintf("native: %s %d out of range", role, p))
 	}
-	m.reader[r] = int32(p)
+	return int32(p)
 }
 
 // Read performs an atomic load of register r by process p and counts
 // it as one step.
 func (m *Mem) Read(p, r int) pram.Value {
-	if m.checks {
-		m.checkProc(p)
-		if o := m.reader[r]; o != pram.NoOwner && o != int32(p) {
-			panic(fmt.Sprintf(
-				"native: single-reader violation: process %d read register %d (configured reader: process %d)",
-				p, r, o))
-		}
+	c := &m.cells[r]
+	if m.checks && (uint(p) >= uint(m.nproc) || c.reader != pram.NoOwner && c.reader != int32(p)) {
+		m.violation("single-reader", "read", "reader", p, r, c.reader)
 	}
-	m.ctr[p].reads.Add(1)
-	return m.cells[r].Load().v
+	m.procs[p].reads.Add(1)
+	return c.v.Load().v
 }
 
 // Write performs an atomic store of v to register r by process p and
 // counts it as one step. Write panics if r has an owner other than p:
 // that is a bug in the calling algorithm, not a runtime condition.
 func (m *Mem) Write(p, r int, v pram.Value) {
-	if m.checks {
-		m.checkProc(p)
-		if o := m.owner[r]; o != pram.NoOwner && o != int32(p) {
-			panic(fmt.Sprintf(
-				"native: single-writer violation: process %d wrote register %d (configured owner: process %d)",
-				p, r, o))
-		}
+	c := &m.cells[r]
+	if m.checks && (uint(p) >= uint(m.nproc) || c.owner != pram.NoOwner && c.owner != int32(p)) {
+		m.violation("single-writer", "wrote", "owner", p, r, c.owner)
 	}
-	m.ctr[p].writes.Add(1)
-	m.cells[r].Store(&box{v})
+	pr := &m.procs[p]
+	pr.writes.Add(1)
+	if len(pr.slab) == 0 {
+		pr.slab = make([]box, slabBoxes)
+	}
+	b := &pr.slab[0]
+	pr.slab = pr.slab[1:]
+	b.v = v
+	c.v.Store(b)
+}
+
+// violation panics with the diagnostic for a checked access that
+// failed: a process out of range, or one outside the register's
+// configured owner or reader.
+func (m *Mem) violation(kind, verb, role string, p, r int, o int32) {
+	if p < 0 || p >= m.nproc {
+		panic(fmt.Sprintf("native: process %d out of range [0,%d)", p, m.nproc))
+	}
+	panic(fmt.Sprintf("native: %s violation: process %d %s register %d (configured %s: process %d)",
+		kind, p, verb, r, role, o))
 }
 
 // Peek returns register r's contents without counting an access: one
@@ -152,13 +177,13 @@ func (m *Mem) Write(p, r int, v pram.Value) {
 // assertions, oracles and observers that own no process (the anchor
 // array's row-0 reads in core.Universal.RootTags), never a machine's
 // own steps, which must Read.
-func (m *Mem) Peek(r int) pram.Value { return m.cells[r].Load().v }
+func (m *Mem) Peek(r int) pram.Value { return m.cells[r].v.Load().v }
 
 // Owner returns register r's configured owner, or pram.NoOwner.
-func (m *Mem) Owner(r int) int { return int(m.owner[r]) }
+func (m *Mem) Owner(r int) int { return int(m.cells[r].owner) }
 
 // Reader returns register r's configured reader, or pram.NoOwner.
-func (m *Mem) Reader(r int) int { return int(m.reader[r]) }
+func (m *Mem) Reader(r int) int { return int(m.cells[r].reader) }
 
 // Counters returns a copy of the access counters. It may be called
 // concurrently with the run; per-process counts are each internally
@@ -170,16 +195,15 @@ func (m *Mem) Counters() pram.Counters {
 		WritesBy: make([]uint64, m.nproc),
 	}
 	for p := 0; p < m.nproc; p++ {
-		c.ReadsBy[p] = m.ctr[p].reads.Load()
-		c.WritesBy[p] = m.ctr[p].writes.Load()
+		c.ReadsBy[p], c.WritesBy[p] = m.CountsBy(p)
 		c.Reads += c.ReadsBy[p]
 		c.Writes += c.WritesBy[p]
 	}
 	return c
 }
 
-func (m *Mem) checkProc(p int) {
-	if p < 0 || p >= m.nproc {
-		panic(fmt.Sprintf("native: process %d out of range [0,%d)", p, m.nproc))
-	}
+// CountsBy returns process p's access counts: two atomic loads, no
+// allocation, safe to call concurrently with the run.
+func (m *Mem) CountsBy(p int) (reads, writes uint64) {
+	return m.procs[p].reads.Load(), m.procs[p].writes.Load()
 }

@@ -1,174 +1,129 @@
 package snapshot
 
-import "repro/internal/pram"
+import (
+	"slices"
 
-// Simulator machines for the Afek et al. snapshot, completing the E7
-// comparison: under the same update-between-collects adversary that
-// starves the double-collect scan for ever, the Afek scan finishes in
-// a bounded number of its own steps — after observing some process
-// move twice it borrows that process's embedded view. This is the
-// related-work algorithm's wait-freedom made measurable next to ours.
+	"repro/apram/obs"
+	"repro/internal/pram"
+)
 
-// afekSimCell is the simulated register contents: a sequence number,
-// the payload, and the view embedded at update time.
-type afekSimCell struct {
-	Seq  uint64
-	Val  any
-	View []any
-}
+// Machines of the Afek et al. snapshot, completing the E7 comparison:
+// under the same update-between-collects adversary that starves the
+// double-collect scan for ever, the Afek scan finishes in a bounded
+// number of its own steps — after observing some process move twice
+// it borrows that process's embedded view. This is the related-work
+// algorithm's wait-freedom made measurable next to ours. The native
+// Afek steps the same machines on atomic registers.
 
-// AfekLayout places n cells in simulated memory.
-type AfekLayout struct {
-	Base int
-	N    int
-}
-
-// Reg returns process p's cell register.
-func (l AfekLayout) Reg(p int) int { return l.Base + p }
-
-// Install initializes the cells and assigns owners.
-func (l AfekLayout) Install(m pram.Memory) {
-	for p := 0; p < l.N; p++ {
-		m.Init(l.Reg(p), afekSimCell{})
-		m.SetOwner(l.Reg(p), p)
-	}
-}
-
-// AfekScanMachine performs one Afek scan: repeated collects, one cell
-// read per Step, borrowing an embedded view from any process observed
-// to move twice.
+// AfekScanMachine performs a queue of Afek scans for one process:
+// repeated collects, one cell read per Step, borrowing an embedded
+// view from any process observed to move twice.
 type AfekScanMachine struct {
-	proc int
-	lay  AfekLayout
-
-	prev    []afekSimCell
-	cur     []afekSimCell
-	i       int
-	moved   map[int]bool
-	done    bool
-	result  []any
-	borrows int
+	collector
+	moved    []bool // processes seen to move during the scan in progress
+	borrowed bool   // the latest result came from an embedded view
 }
 
-// NewAfekScanMachine returns a scanner for process proc.
+func newAfekScanMachine(proc int, lay AfekLayout) *AfekScanMachine {
+	return &AfekScanMachine{collector: newCollector(proc, lay), moved: make([]bool, lay.N)}
+}
+
+// NewAfekScanMachine returns a scanner for process proc with one scan
+// enqueued.
 func NewAfekScanMachine(proc int, lay AfekLayout) *AfekScanMachine {
-	return &AfekScanMachine{
-		proc: proc, lay: lay,
-		cur:   make([]afekSimCell, lay.N),
-		moved: map[int]bool{},
-	}
+	mc := newAfekScanMachine(proc, lay)
+	mc.Enqueue()
+	return mc
 }
 
-// Done reports completion.
-func (mc *AfekScanMachine) Done() bool { return mc.done }
-
-// Result returns the scanned view; it panics before Done.
-func (mc *AfekScanMachine) Result() []any {
-	if !mc.done {
-		panic("snapshot: Result before Done")
-	}
-	return mc.result
-}
-
-// Borrowed reports whether the result came from an embedded view.
-func (mc *AfekScanMachine) Borrowed() bool { return mc.borrows > 0 && mc.done }
+// Borrowed reports whether the latest result came from an embedded
+// view.
+func (mc *AfekScanMachine) Borrowed() bool { return mc.borrowed && mc.Done() }
 
 // Clone returns an independent copy.
 func (mc *AfekScanMachine) Clone() pram.Machine {
 	cp := *mc
-	cp.prev = append([]afekSimCell(nil), mc.prev...)
-	cp.cur = append([]afekSimCell(nil), mc.cur...)
-	cp.result = append([]any(nil), mc.result...)
-	cp.moved = make(map[int]bool, len(mc.moved))
-	for k, v := range mc.moved {
-		cp.moved[k] = v
-	}
+	cp.collector = mc.clone()
+	cp.moved = slices.Clone(mc.moved)
 	return &cp
 }
 
 // Step reads the next cell of the current collect and resolves the
 // scan at collect boundaries.
 func (mc *AfekScanMachine) Step(m pram.Memory) {
-	if mc.done {
-		panic("snapshot: Step after Done")
-	}
-	mc.cur[mc.i] = m.Read(mc.proc, mc.lay.Reg(mc.i)).(afekSimCell)
-	mc.i++
-	if mc.i < mc.lay.N {
-		return
-	}
-	mc.i = 0
-	if mc.prev == nil {
-		mc.prev = append(mc.prev[:0], mc.cur...)
+	if !mc.read(m) {
 		return
 	}
 	clean := true
-	for q := range mc.cur {
-		if mc.cur[q].Seq == mc.prev[q].Seq {
+	for q, c := range mc.cur {
+		if c.Seq == mc.prev[q].Seq {
 			continue
 		}
 		clean = false
 		if mc.moved[q] {
-			// q completed a whole update inside this scan: borrow its
-			// embedded view.
-			mc.result = append([]any(nil), mc.cur[q].View...)
-			mc.borrows++
-			mc.done = true
+			// q completed a whole update inside this scan, so its
+			// embedded view was taken inside this scan too: borrow it.
+			if mc.probe != nil {
+				mc.probe.Event(mc.proc, obs.EvHelp)
+			}
+			mc.end(slices.Clone(c.View), true)
 			return
 		}
 		mc.moved[q] = true
 	}
 	if clean {
-		mc.result = make([]any, mc.lay.N)
-		for q, c := range mc.cur {
-			if c.Seq != 0 {
-				mc.result[q] = c.Val
-			}
-		}
-		mc.done = true
+		mc.end(cellValues(mc.cur), false)
 		return
 	}
-	mc.prev = append(mc.prev[:0], mc.cur...)
+	mc.retry()
 }
 
-// AfekUpdateMachine performs a script of updates, each an embedded
-// scan followed by one write.
+// end completes the scan in progress with view.
+func (mc *AfekScanMachine) end(view []any, borrowed bool) {
+	clear(mc.moved)
+	mc.borrowed = borrowed
+	mc.finish(view)
+}
+
+// AfekUpdateMachine performs a queue of updates for one process, each
+// an embedded scan followed by one write.
 type AfekUpdateMachine struct {
-	proc   int
-	lay    AfekLayout
-	script []any
-
-	next    int
-	seq     uint64
-	scanner *AfekScanMachine // non-nil while the embedded scan runs
-	pending any
+	proc     int
+	lay      AfekLayout
+	queue    []any
+	seq      uint64
+	scanner  *AfekScanMachine // runs each update's embedded scan
+	scanning bool             // the head update's scan has started
 }
 
-// NewAfekUpdateMachine returns an updater for process proc.
+// NewAfekUpdateMachine returns an updater for process proc with each
+// value in script enqueued.
 func NewAfekUpdateMachine(proc int, lay AfekLayout, script []any) *AfekUpdateMachine {
-	return &AfekUpdateMachine{proc: proc, lay: lay, script: append([]any(nil), script...)}
-}
-
-// Done reports whether the script is exhausted.
-func (mc *AfekUpdateMachine) Done() bool {
-	return mc.next == len(mc.script) && mc.scanner == nil
-}
-
-// Completed returns finished updates.
-func (mc *AfekUpdateMachine) Completed() int {
-	if mc.scanner != nil {
-		return mc.next - 1
+	return &AfekUpdateMachine{
+		proc: proc, lay: lay,
+		queue:   append([]any(nil), script...),
+		scanner: newAfekScanMachine(proc, lay),
 	}
-	return mc.next
 }
+
+// Enqueue appends an update of the process's element to v.
+func (mc *AfekUpdateMachine) Enqueue(v any) { mc.queue = append(mc.queue, v) }
+
+// Done reports whether every enqueued update is written.
+func (mc *AfekUpdateMachine) Done() bool { return len(mc.queue) == 0 }
+
+// Completed returns finished updates (pram.Progress).
+func (mc *AfekUpdateMachine) Completed() int { return int(mc.seq) }
+
+// Instrument attaches a probe for the embedded scans' events. Clones
+// share it.
+func (mc *AfekUpdateMachine) Instrument(p obs.Probe) { mc.scanner.Instrument(p) }
 
 // Clone returns an independent copy.
 func (mc *AfekUpdateMachine) Clone() pram.Machine {
 	cp := *mc
-	cp.script = append([]any(nil), mc.script...)
-	if mc.scanner != nil {
-		cp.scanner = mc.scanner.Clone().(*AfekScanMachine)
-	}
+	cp.queue = slices.Clone(mc.queue)
+	cp.scanner = mc.scanner.Clone().(*AfekScanMachine)
 	return &cp
 }
 
@@ -177,22 +132,16 @@ func (mc *AfekUpdateMachine) Step(m pram.Memory) {
 	if mc.Done() {
 		panic("snapshot: Step after Done")
 	}
-	if mc.scanner == nil {
-		mc.pending = mc.script[mc.next]
-		mc.next++
-		mc.scanner = NewAfekScanMachine(mc.proc, mc.lay)
-		// fall through into the scan's first step
+	if !mc.scanning {
+		mc.scanning = true
+		mc.scanner.Enqueue()
 	}
 	if !mc.scanner.Done() {
-		mc.scanner.Step(m)
-		if !mc.scanner.Done() {
-			return
-		}
-		return // the write happens on the next step
+		mc.scanner.Step(m) // the write happens on a later step
+		return
 	}
 	mc.seq++
-	m.Write(mc.proc, mc.lay.Reg(mc.proc), afekSimCell{
-		Seq: mc.seq, Val: mc.pending, View: mc.scanner.Result(),
-	})
-	mc.scanner = nil
+	m.Write(mc.proc, mc.lay.Reg(mc.proc), &seqCell{Seq: mc.seq, Val: mc.queue[0], View: mc.scanner.Result()})
+	mc.queue = slices.Delete(mc.queue, 0, 1) // keeps the backing array
+	mc.scanning = false
 }

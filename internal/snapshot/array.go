@@ -5,6 +5,7 @@ import (
 
 	"repro/apram/obs"
 	"repro/internal/lattice"
+	"repro/internal/pram/native"
 )
 
 // ArraySnapshot is the classic atomic-snapshot abstraction: an
@@ -71,41 +72,38 @@ func vecValues(vec lattice.Vec) []any {
 	return out
 }
 
-// dcCell is one process's register in the double-collect and Afek
-// snapshots: a payload with a per-process sequence number, plus (for
-// Afek) the view embedded at update time.
-type dcCell struct {
-	seq  uint64
-	val  any
-	view []any // Afek only
-}
-
 // DoubleCollect is the textbook "collect twice, retry until clean"
 // snapshot. A clean double collect is linearizable, and updates are a
 // single register write — but Scan is only LOCK-FREE, not wait-free:
-// a continuously updating peer can starve it for ever. The simulator
-// variant (DCScanMachine) demonstrates that starvation schedule
-// deterministically; this native variant exposes a retry counter so
-// benchmarks can show unbounded retries under contention.
+// a continuously updating peer can starve it for ever. Each process
+// steps its DCScanMachine and DCUpdateMachine on atomic registers; in
+// the simulator the same machines play the starvation schedule
+// deterministically, and here a retry counter lets benchmarks show
+// unbounded retries under contention.
 type DoubleCollect struct {
-	cells []atomic.Pointer[dcCell]
+	runner
+	scanners []*DCScanMachine
+	updaters []*DCUpdateMachine
 	// Retries counts collect-pair retries across all Scan calls.
 	Retries atomic.Uint64
 	// MaxRetries, when positive, bounds the retries of a single Scan;
 	// exceeding it makes Scan return nil, which keeps benchmarks
 	// finite. Zero means retry for ever (the true algorithm).
 	MaxRetries uint64
-
-	probe   obs.Probe
-	emitOps bool
 }
 
 // NewDoubleCollect returns an n-element double-collect snapshot.
 func NewDoubleCollect(n int) *DoubleCollect {
-	dc := &DoubleCollect{cells: make([]atomic.Pointer[dcCell], n)}
-	zero := &dcCell{}
-	for i := range dc.cells {
-		dc.cells[i].Store(zero)
+	lay := DCLayout{N: n}
+	dc := &DoubleCollect{
+		runner:   runner{mem: native.NewMem(n, n)},
+		scanners: make([]*DCScanMachine, n),
+		updaters: make([]*DCUpdateMachine, n),
+	}
+	lay.Install(dc.mem)
+	for p := range dc.scanners {
+		dc.scanners[p] = &DCScanMachine{collector: newCollector(p, lay)}
+		dc.updaters[p] = NewDCUpdateMachine(p, lay, nil)
 	}
 	return dc
 }
@@ -114,89 +112,43 @@ func NewDoubleCollect(n int) *DoubleCollect {
 // the telemetry that distinguishes this merely lock-free Scan from the
 // wait-free ones.
 func (dc *DoubleCollect) Instrument(p obs.Probe, emitOps bool) {
-	dc.probe = p
-	dc.emitOps = emitOps && p != nil
+	dc.instrument(p, emitOps)
+	for _, mc := range dc.scanners {
+		mc.Instrument(p)
+	}
 }
 
 // Update sets process p's element to v.
 func (dc *DoubleCollect) Update(p int, v any) {
-	if dc.emitOps {
-		dc.probe.OpBegin(p, obs.OpScan)
+	reads, writes := dc.begin(p)
+	mc := dc.updaters[p]
+	mc.Enqueue(v)
+	for !mc.Done() {
+		mc.Step(dc.mem)
 	}
-	old := dc.cells[p].Load()
-	dc.cells[p].Store(&dcCell{seq: old.seq + 1, val: v})
-	if dc.probe != nil {
-		dc.probe.RegReads(p, 1)
-		dc.probe.RegWrites(p, 1)
-		if dc.emitOps {
-			dc.probe.OpDone(p, obs.OpScan)
-		}
-	}
+	dc.end(p, reads, writes)
 }
 
 // Scan retries double collects until two consecutive collects agree.
 // It returns nil if MaxRetries is positive and exceeded.
 func (dc *DoubleCollect) Scan(p int) []any {
-	if dc.emitOps {
-		dc.probe.OpBegin(p, obs.OpScan)
+	reads, writes := dc.begin(p)
+	mc := dc.scanners[p]
+	mc.Enqueue()
+	start := mc.Retries()
+	for !mc.Done() {
+		mc.Step(dc.mem)
+		if dc.MaxRetries > 0 && uint64(mc.Retries()-start) > dc.MaxRetries {
+			mc.finish(nil)
+		}
 	}
-	done := func(reads int, out []any) []any {
-		if dc.probe != nil {
-			dc.probe.RegReads(p, reads)
-			if dc.emitOps {
-				dc.probe.OpDone(p, obs.OpScan)
-			}
-		}
-		return out
-	}
-	a := dc.collect()
-	reads := len(dc.cells)
-	for tries := uint64(0); ; tries++ {
-		b := dc.collect()
-		reads += len(dc.cells)
-		if sameSeqs(a, b) {
-			return done(reads, cellValues(b))
-		}
-		dc.Retries.Add(1)
-		if dc.probe != nil {
-			dc.probe.Event(p, obs.EvRetry)
-		}
-		if dc.MaxRetries > 0 && tries >= dc.MaxRetries {
-			return done(reads, nil)
-		}
-		a = b
-	}
+	dc.Retries.Add(uint64(mc.Retries() - start))
+	dc.end(p, reads, writes)
+	return mc.Result()
 }
 
 // N returns the array length.
-func (dc *DoubleCollect) N() int { return len(dc.cells) }
-
-func (dc *DoubleCollect) collect() []*dcCell {
-	out := make([]*dcCell, len(dc.cells))
-	for i := range dc.cells {
-		out[i] = dc.cells[i].Load()
-	}
-	return out
-}
-
-func sameSeqs(a, b []*dcCell) bool {
-	for i := range a {
-		if a[i].seq != b[i].seq {
-			return false
-		}
-	}
-	return true
-}
-
-func cellValues(cs []*dcCell) []any {
-	out := make([]any, len(cs))
-	for i, c := range cs {
-		if c.seq != 0 {
-			out[i] = c.val
-		}
-	}
-	return out
-}
+func (dc *DoubleCollect) N() int { return len(dc.scanners) }
 
 // Afek is the single-writer atomic snapshot of Afek, Attiya, Dolev,
 // Gafni, Merritt and Shavit (cited in Section 2 as the independent
@@ -204,20 +156,26 @@ func cellValues(cs []*dcCell) []any {
 // ours"), in its unbounded-sequence-number form: an updater embeds a
 // scan in its own register, and a scanner that sees the same process
 // move twice borrows that embedded view instead of retrying for ever —
-// which is what makes it wait-free, unlike DoubleCollect.
+// which is what makes it wait-free, unlike DoubleCollect. Each process
+// steps its AfekScanMachine and AfekUpdateMachine on atomic registers.
 type Afek struct {
-	cells []atomic.Pointer[dcCell]
-
-	probe   obs.Probe
-	emitOps bool
+	runner
+	scanners []*AfekScanMachine
+	updaters []*AfekUpdateMachine
 }
 
 // NewAfek returns an n-element Afek et al. snapshot.
 func NewAfek(n int) *Afek {
-	a := &Afek{cells: make([]atomic.Pointer[dcCell], n)}
-	zero := &dcCell{}
-	for i := range a.cells {
-		a.cells[i].Store(zero)
+	lay := AfekLayout{N: n}
+	a := &Afek{
+		runner:   runner{mem: native.NewMem(n, n)},
+		scanners: make([]*AfekScanMachine, n),
+		updaters: make([]*AfekUpdateMachine, n),
+	}
+	lay.Install(a.mem)
+	for p := range a.scanners {
+		a.scanners[p] = newAfekScanMachine(p, lay)
+		a.updaters[p] = NewAfekUpdateMachine(p, lay, nil)
 	}
 	return a
 }
@@ -226,89 +184,37 @@ func NewAfek(n int) *Afek {
 // embedded view surfaces as obs.EvHelp — the helping step that makes
 // this snapshot wait-free where DoubleCollect is not.
 func (a *Afek) Instrument(p obs.Probe, emitOps bool) {
-	a.probe = p
-	a.emitOps = emitOps && p != nil
+	a.instrument(p, emitOps)
+	for q := range a.scanners {
+		a.scanners[q].Instrument(p)
+		a.updaters[q].Instrument(p)
+	}
 }
 
 // Update embeds a scan in the written register, making the write
 // expensive but scans wait-free.
 func (a *Afek) Update(p int, v any) {
-	if a.emitOps {
-		a.probe.OpBegin(p, obs.OpScan)
+	reads, writes := a.begin(p)
+	mc := a.updaters[p]
+	mc.Enqueue(v)
+	for !mc.Done() {
+		mc.Step(a.mem)
 	}
-	view := a.scan(p)
-	old := a.cells[p].Load()
-	a.cells[p].Store(&dcCell{seq: old.seq + 1, val: v, view: view})
-	if a.probe != nil {
-		a.probe.RegReads(p, 1)
-		a.probe.RegWrites(p, 1)
-		if a.emitOps {
-			a.probe.OpDone(p, obs.OpScan)
-		}
-	}
+	a.end(p, reads, writes)
 }
 
 // Scan returns an instantaneous view: either a clean double collect,
 // or the view embedded by a process observed to move twice.
 func (a *Afek) Scan(p int) []any {
-	if a.emitOps {
-		a.probe.OpBegin(p, obs.OpScan)
+	reads, writes := a.begin(p)
+	mc := a.scanners[p]
+	mc.Enqueue()
+	for !mc.Done() {
+		mc.Step(a.mem)
 	}
-	out := a.scan(p)
-	if a.probe != nil && a.emitOps {
-		a.probe.OpDone(p, obs.OpScan)
-	}
-	return out
-}
-
-// scan is Scan without the operation report, shared with Update (whose
-// embedded scan is part of the update, not an operation of its own).
-func (a *Afek) scan(p int) []any {
-	moved := make(map[int]bool)
-	prev := a.collect()
-	reads := len(a.cells)
-	done := func(out []any) []any {
-		if a.probe != nil {
-			a.probe.RegReads(p, reads)
-		}
-		return out
-	}
-	for {
-		cur := a.collect()
-		reads += len(a.cells)
-		clean := true
-		for q := range cur {
-			if cur[q].seq == prev[q].seq {
-				continue
-			}
-			clean = false
-			if moved[q] {
-				// q completed an entire Update inside this Scan, so
-				// its embedded view was taken inside this Scan too.
-				if a.probe != nil {
-					a.probe.Event(p, obs.EvHelp)
-				}
-				return done(append([]any(nil), cur[q].view...))
-			}
-			moved[q] = true
-		}
-		if clean {
-			return done(cellValues(cur))
-		}
-		if a.probe != nil {
-			a.probe.Event(p, obs.EvRetry)
-		}
-		prev = cur
-	}
+	a.end(p, reads, writes)
+	return mc.Result()
 }
 
 // N returns the array length.
-func (a *Afek) N() int { return len(a.cells) }
-
-func (a *Afek) collect() []*dcCell {
-	out := make([]*dcCell, len(a.cells))
-	for i := range a.cells {
-		out[i] = a.cells[i].Load()
-	}
-	return out
-}
+func (a *Afek) N() int { return len(a.scanners) }

@@ -5,20 +5,21 @@
 // returns the join of all values written so far; Write_L discards the
 // return value and ReadMax scans with ⊥.
 //
-// Two execution modes are provided:
-//
-//   - ScanMachine: a step-granular state machine over any pram.Memory
-//     (the simulator or native atomics; the universal construction
-//     scans through it on both), in both the paper's literal form
-//     (n²+n+1 reads, n+2 writes per Scan) and the Section 6.2
-//     optimized form (n²−1 reads, n+1 writes);
-//   - Snapshot: a native goroutine implementation on atomic registers.
+// The algorithm has one body, ScanMachine: a step-granular state
+// machine over any pram.Memory, in both the paper's literal form
+// (n²+n+1 reads, n+2 writes per Scan) and the Section 6.2 optimized
+// form (n²−1 reads, n+1 writes). The simulator, the exhaustive
+// explorer and the universal construction step it; Snapshot, the
+// goroutine-ready object, gives each process an optimized machine and
+// steps it on native atomics (pram/native).
 //
 // The package also provides the end-of-Section-6 construction of a
 // classic array snapshot on top of the tagged-vector lattice (Array),
 // and three baselines for the paper's Section 2 comparisons: a
 // lock-based snapshot, a double-collect snapshot (lock-free but not
-// wait-free), and the Afek et al. single-writer snapshot.
+// wait-free), and the Afek et al. single-writer snapshot. The last two
+// are machines as well (DCScanMachine, AfekScanMachine and their
+// updaters), which DoubleCollect and Afek step on native atomics.
 package snapshot
 
 import (
@@ -62,7 +63,6 @@ type scanPhase int
 
 const (
 	phIdle      scanPhase = iota // between operations
-	phInitRead                   // literal variant: read scan[P][0]
 	phInitWrite                  // literal variant: write scan[P][0]
 	phPass                       // the i-loop of lines 3..7
 )
@@ -81,16 +81,24 @@ type ScanMachine struct {
 	proc      int
 	lay       Layout
 	optimized bool
+	own       int // register of scan[proc][0]; scan[proc][i] is own+i
 
 	queue   []any // pending scan arguments
 	results []any // completed scan results
 	local   []any // local copy of own registers scan[proc][0..n+1]
 
 	ph  scanPhase
-	cur any      // argument of the operation in progress
-	i   int      // current pass, 1..n+1
-	q   int      // reads completed within the current pass
-	acc passJoin // the running join of row 0 or of the current pass
+	cur any // argument of the operation in progress
+	i   int // current pass, 1..n+1
+	// r is the register of the pass's next read, and stop is where r
+	// lands after the pass's last read; r == stop whenever the next
+	// access is not a pass's read. skip is p's own register in the
+	// pass's column, which the optimized variant does not read (−1 in
+	// the literal variant), and last is set during a pass that ends at
+	// its last read: the optimized variant's pass n+1.
+	r, stop, skip int
+	last          bool
+	acc           passJoin // the running join of row 0 or of the current pass
 }
 
 // passJoin is the running join of one Figure 5 pass (or of line 2's
@@ -149,11 +157,14 @@ func NewScanMachine(proc int, lay Layout, lat lattice.Lattice, optimized bool) *
 	if proc < 0 || proc >= lay.N {
 		panic(fmt.Sprintf("snapshot: process %d out of range", proc))
 	}
+	// A scan never writes through an element it holds, so every slot
+	// of the local copy can start at one ⊥.
 	local := make([]any, lay.N+2)
+	bot := lat.Bottom()
 	for i := range local {
-		local[i] = lat.Bottom()
+		local[i] = bot
 	}
-	return &ScanMachine{proc: proc, lay: lay, acc: newPassJoin(lat), optimized: optimized, local: local}
+	return &ScanMachine{proc: proc, lay: lay, own: lay.Reg(proc, 0), acc: newPassJoin(lat), optimized: optimized, local: local}
 }
 
 // Enqueue appends a Scan(v) operation to the machine's script. Use the
@@ -195,40 +206,30 @@ func (mc *ScanMachine) Clone() pram.Machine {
 	return &cp
 }
 
-// readsPerPass returns how many register reads a pass performs.
-func (mc *ScanMachine) readsPerPass() int {
-	if mc.optimized {
-		return mc.lay.N - 1
-	}
-	return mc.lay.N
-}
-
-// readTarget returns the process whose register the q-th read of a
-// pass targets, skipping self in the optimized variant.
-func (mc *ScanMachine) readTarget(q int) int {
-	if mc.optimized && q >= mc.proc {
-		return q + 1
-	}
-	return q
-}
-
 // lastPass is n+1: the final pass, whose write the optimized variant
 // skips.
 func (mc *ScanMachine) lastPass() int { return mc.lay.N + 1 }
 
-// startPass begins pass i, seeding the accumulator from local copies.
-// In the optimized variant the skipped self-read of scan[P][i-1] is
-// replaced by the local copy. If the final optimized pass has no reads
+// startPass begins pass i, seeding the accumulator from local copies
+// and aiming r at the first register of column i−1 it reads. In the
+// optimized variant the skipped self-read of scan[P][i-1] is replaced
+// by the local copy. If the final optimized pass has no reads
 // (n == 1), the operation completes immediately.
 func (mc *ScanMachine) startPass(i int) {
-	mc.ph = phPass
-	mc.i = i
-	mc.q = 0
+	stride := mc.lay.N + 2
+	mc.ph, mc.i = phPass, i
+	mc.r = mc.lay.Base + i - 1
+	mc.stop = mc.r + mc.lay.N*stride
+	mc.skip = -1
 	mc.acc.start(mc.local[i])
 	if mc.optimized {
+		mc.skip = mc.own + i - 1
+		if mc.r == mc.skip {
+			mc.r += stride
+		}
 		mc.acc.join(mc.local[i-1])
-		if i == mc.lastPass() && mc.readsPerPass() == 0 {
-			mc.endPass()
+		mc.last = i == mc.lastPass()
+		if mc.last && mc.r == mc.stop {
 			mc.finish()
 		}
 	}
@@ -240,7 +241,7 @@ func (mc *ScanMachine) startPass(i int) {
 func (mc *ScanMachine) writeRow0(m pram.Memory) {
 	mc.acc.join(mc.cur)
 	mc.local[0] = mc.acc.end()
-	m.Write(mc.proc, mc.lay.Reg(mc.proc, 0), mc.local[0])
+	m.Write(mc.proc, mc.own, mc.local[0])
 	mc.startPass(1)
 }
 
@@ -251,15 +252,45 @@ func (mc *ScanMachine) endPass() any {
 }
 
 // finish completes the operation in progress with the final pass's
-// value (endPass has run).
+// value.
 func (mc *ScanMachine) finish() {
-	mc.results = append(mc.results, mc.local[mc.i])
-	mc.ph = phIdle
+	mc.results = append(mc.results, mc.endPass())
+	mc.ph, mc.last = phIdle, false
 }
 
-// Step performs the machine's next shared-memory access.
+// Step performs the machine's next shared-memory access: a pass's
+// read here, any other access in turn. Reads are n²−1 of an optimized
+// scan's n²+n accesses.
 func (mc *ScanMachine) Step(m pram.Memory) {
+	if mc.r == mc.stop {
+		mc.turn(m)
+		return
+	}
+	// Line 5: join in scan[Q][i-1], then aim at the next Q.
+	mc.acc.join(m.Read(mc.proc, mc.r))
+	if mc.r += mc.lay.N + 2; mc.r == mc.skip {
+		mc.r += mc.lay.N + 2
+	}
+	if mc.last && mc.r == mc.stop {
+		// Optimized variant: the very last write is unnecessary
+		// (Section 6.2); the final pass ends at its last read.
+		mc.finish()
+	}
+}
+
+// turn performs every access but a pass's reads: line 2 and the
+// write that ends a pass.
+func (mc *ScanMachine) turn(m pram.Memory) {
 	switch mc.ph {
+	case phPass:
+		// End of pass: write scan[P][i].
+		m.Write(mc.proc, mc.own+mc.i, mc.endPass())
+		if mc.i == mc.lastPass() {
+			mc.finish()
+			return
+		}
+		mc.startPass(mc.i + 1)
+
 	case phIdle:
 		if len(mc.queue) == 0 {
 			panic("snapshot: Step after Done")
@@ -274,35 +305,12 @@ func (mc *ScanMachine) Step(m pram.Memory) {
 			return
 		}
 		// Line 2, literal: read scan[P][0] ...
-		mc.acc.start(m.Read(mc.proc, mc.lay.Reg(mc.proc, 0)))
+		mc.acc.start(m.Read(mc.proc, mc.own))
 		mc.ph = phInitWrite
 
 	case phInitWrite:
 		// ... then write v ∨ scan[P][0].
 		mc.writeRow0(m)
-
-	case phPass:
-		if mc.q < mc.readsPerPass() {
-			// Line 5: join in scan[Q][i-1].
-			target := mc.readTarget(mc.q)
-			mc.acc.join(m.Read(mc.proc, mc.lay.Reg(target, mc.i-1)))
-			mc.q++
-			if mc.optimized && mc.i == mc.lastPass() && mc.q == mc.readsPerPass() {
-				// Optimized variant: the very last write is
-				// unnecessary (Section 6.2); the final pass ends at
-				// its last read.
-				mc.endPass()
-				mc.finish()
-			}
-			return
-		}
-		// End of pass: write scan[P][i].
-		m.Write(mc.proc, mc.lay.Reg(mc.proc, mc.i), mc.endPass())
-		if mc.i == mc.lastPass() {
-			mc.finish()
-			return
-		}
-		mc.startPass(mc.i + 1)
 
 	default:
 		panic("snapshot: corrupt phase")

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/apram/obs"
 	"repro/internal/lattice"
 	"repro/internal/pram"
 	"repro/internal/pram/native"
@@ -343,18 +344,19 @@ func TestScanMachineCloneIsolation(t *testing.T) {
 	}
 }
 
-// TestScanMachineInPlace pins the copy-on-write pass joins that let
-// the Figure 4 machine run on native atomics at the hand-written
-// Snapshot.Scan's cost. Over the tagged-vector lattice on the native
+// TestScanMachineInPlace pins the copy-on-write pass joins of the one
+// Figure 5 body. Over the tagged-vector lattice on the native
 // substrate an n = 8 scan whose passes meet nothing new copies
-// nothing: it allocates one box per register write and one for its
-// boxed argument, 10 objects, in both bodies. After another process
-// has published into its row 0, the first pass copies once (the new
-// vector and its interface box), and the publication's own register
-// write adds one more. And because a copied accumulator is mutated in
-// place while a borrowed pass value is shared, a machine cloned
-// mid-pass in either state, then stepped against other register
-// contents, must leave the original's result unchanged.
+// nothing: it allocates only its argument's interface box and, for its
+// nine register writes, 9/16 of a slab of boxes, whether a bare machine
+// is stepped or Snapshot.Scan drives one, with or without a probe (the
+// runner reads the scan's register counts without allocating). After
+// another process has published into its row 0, the first pass copies
+// once (the new vector and its interface box). And because a copied
+// accumulator is mutated in place while a borrowed pass value is
+// shared, a machine cloned mid-pass in either state, then stepped
+// against other register contents, must leave the original's result
+// unchanged.
 func TestScanMachineInPlace(t *testing.T) {
 	const n = 8
 	vl := lattice.Vector{N: n}
@@ -368,6 +370,8 @@ func TestScanMachineInPlace(t *testing.T) {
 			pubs[i] = vl.Single(1, uint64(i+1), "y")
 		}
 		snap := New(n, vl)
+		isnap := New(n, vl)
+		isnap.Instrument(obs.NewStats(n), true)
 		mem := native.NewMem(lay.Regs(), n)
 		lay.Install(mem, vl)
 		mc := NewScanMachine(0, lay, vl, true)
@@ -376,7 +380,8 @@ func TestScanMachineInPlace(t *testing.T) {
 			publish func(v any) // process 1 writes v to its row 0
 			scan    func()
 		}{
-			{"Snapshot.Scan", func(v any) { snap.cells[1][0].Store(&box{v}) }, func() { snap.Scan(0, arg) }},
+			{"Snapshot.Scan", func(v any) { snap.mem.Write(1, lay.Reg(1, 0), v) }, func() { snap.Scan(0, arg) }},
+			{"instrumented Snapshot.Scan", func(v any) { isnap.mem.Write(1, lay.Reg(1, 0), v) }, func() { isnap.Scan(0, arg) }},
 			{"ScanMachine", func(v any) { mem.Write(1, lay.Reg(1, 0), v) }, func() {
 				mc.Enqueue(arg)
 				for !mc.Done() {
@@ -390,8 +395,8 @@ func TestScanMachineInPlace(t *testing.T) {
 			publish bool
 			max     float64
 		}{
-			{"unchanged", false, 10},
-			{"after a publication", true, 13},
+			{"unchanged", false, 1},
+			{"after a publication", true, 3},
 		} {
 			for _, b := range bodies {
 				i := 0
@@ -461,10 +466,10 @@ func TestScanMachineInPlace(t *testing.T) {
 }
 
 // TestScanNeverWritesThroughBorrowed checks the other half of the
-// copy-on-write rule, on both bodies and both substrates: a pass may
-// take its argument, a local copy or a register value whole, but never
-// writes through it. Processes publish fresh single-cell vectors or
-// read with one shared ⊥ in a random interleaving, so passes meet
+// copy-on-write rule, on both substrates and through Snapshot: a pass
+// may take its argument, a local copy or a register value whole, but
+// never writes through it. Processes publish fresh single-cell vectors
+// or read with one shared ⊥ in a random interleaving, so passes meet
 // incomparable values after taking others whole; every argument and
 // every register value written or read must keep the contents it had
 // then.
@@ -536,10 +541,8 @@ func TestScanNeverWritesThroughBorrowed(t *testing.T) {
 			s.Scan(p, arg(rng, p))
 			// Scans run one at a time, so every value a later scan
 			// reads is in a register now.
-			for p := range s.cells {
-				for r := range s.cells[p] {
-					keep(s.cells[p][r].Load().v)
-				}
+			for r := 0; r < lay.Regs(); r++ {
+				keep(s.mem.Peek(r))
 			}
 			check(t)
 		}

@@ -2,10 +2,12 @@ package snapshot
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/lattice"
+	"repro/internal/pram"
 	"repro/internal/sched"
 )
 
@@ -54,53 +56,119 @@ func TestQuickComparabilityNative(t *testing.T) {
 	}
 }
 
-// TestQuickSimEquivalence: a simulated literal scan, a simulated
-// optimized scan, and the native scan must all return the same value
-// for the same sequential operation sequence.
+// TestQuickSimEquivalence: for one sequential operation sequence, the
+// machines stepped on the simulator and the native objects that step
+// the same machines on atomic registers must return the same values —
+// a literal and an optimized simulated Figure 5 scan against Snapshot,
+// and the double-collect and Afek machines against DoubleCollect and
+// Afek.
 func TestQuickSimEquivalence(t *testing.T) {
-	lat := lattice.MaxInt{}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(5)
-		type op struct {
-			p int
-			v int64
-		}
-		ops := make([]op, 1+rng.Intn(10))
-		for i := range ops {
-			ops[i] = op{p: rng.Intn(n), v: int64(rng.Intn(1000))}
-		}
+	t.Run("Figure5", func(t *testing.T) {
+		lat := lattice.MaxInt{}
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			n := 1 + rng.Intn(5)
+			type op struct {
+				p int
+				v int64
+			}
+			ops := make([]op, 1+rng.Intn(10))
+			for i := range ops {
+				ops[i] = op{p: rng.Intn(n), v: int64(rng.Intn(1000))}
+			}
 
-		runSim := func(optimized bool) []any {
-			sys, ms := newSimSystem(n, lat, optimized)
-			var out []any
-			for _, o := range ops {
-				ms[o.p].Enqueue(o.v)
-				for k := len(ms[o.p].Results()); len(ms[o.p].Results()) == k; {
-					sys.Step(o.p)
+			runSim := func(optimized bool) []any {
+				sys, ms := newSimSystem(n, lat, optimized)
+				var out []any
+				for _, o := range ops {
+					ms[o.p].Enqueue(o.v)
+					for k := len(ms[o.p].Results()); len(ms[o.p].Results()) == k; {
+						sys.Step(o.p)
+					}
+					rs := ms[o.p].Results()
+					out = append(out, rs[len(rs)-1])
 				}
-				rs := ms[o.p].Results()
-				out = append(out, rs[len(rs)-1])
+				return out
 			}
-			return out
-		}
-		lit := runSim(false)
-		opt := runSim(true)
+			lit := runSim(false)
+			opt := runSim(true)
 
-		nat := New(n, lat)
-		var natOut []any
-		for _, o := range ops {
-			natOut = append(natOut, nat.Scan(o.p, o.v))
-		}
-		for i := range ops {
-			if lit[i] != opt[i] || opt[i] != natOut[i] {
-				return false
+			nat := New(n, lat)
+			var natOut []any
+			for _, o := range ops {
+				natOut = append(natOut, nat.Scan(o.p, o.v))
 			}
+			for i := range ops {
+				if lit[i] != opt[i] || opt[i] != natOut[i] {
+					return false
+				}
+			}
+			return true
 		}
-		return true
+		if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+			t.Error(err)
+		}
+	})
+
+	type updater interface {
+		pram.Machine
+		Enqueue(v any)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
+	type scanner interface {
+		pram.Machine
+		Result() []any
+	}
+	for _, c := range []struct {
+		name    string
+		native  func(n int) ArraySnapshot
+		updater func(p int, lay DCLayout) updater
+		scanner func(p int, lay DCLayout) scanner
+	}{
+		{"DoubleCollect", func(n int) ArraySnapshot { return NewDoubleCollect(n) },
+			func(p int, lay DCLayout) updater { return NewDCUpdateMachine(p, lay, nil) },
+			func(p int, lay DCLayout) scanner { return NewDCScanMachine(p, lay) }},
+		{"Afek", func(n int) ArraySnapshot { return NewAfek(n) },
+			func(p int, lay DCLayout) updater { return NewAfekUpdateMachine(p, lay, nil) },
+			func(p int, lay DCLayout) scanner { return NewAfekScanMachine(p, lay) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := func(seed int64) bool {
+				rng := rand.New(rand.NewSource(seed))
+				n := 1 + rng.Intn(5)
+				lay := DCLayout{N: n}
+				mem := pram.NewMem(n, n)
+				lay.Install(mem)
+				run := func(mc pram.Machine) {
+					for !mc.Done() {
+						mc.Step(mem)
+					}
+				}
+				ups := make([]updater, n)
+				for p := range ups {
+					ups[p] = c.updater(p, lay)
+				}
+				nat := c.native(n)
+				for op := 0; op < 25; op++ {
+					p := rng.Intn(n)
+					if rng.Intn(2) == 0 {
+						v := rng.Intn(100)
+						ups[p].Enqueue(v)
+						run(ups[p])
+						nat.Update(p, v)
+						continue
+					}
+					sc := c.scanner(p, lay)
+					run(sc)
+					if !slices.Equal(sc.Result(), nat.Scan(p)) {
+						return false
+					}
+				}
+				return true
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 

@@ -131,7 +131,9 @@ func NewArraySnapshot(n int, opts ...Option) ArraySnapshot {
 
 // Agreement is the wait-free approximate agreement object of Section 4
 // (Figure 2): processes Input real values and every Output is within
-// the input range and within ε of every other output.
+// the input range and within ε of every other output. Each slot steps
+// the Figure 2 state machine that the simulator, the Lemma 6 adversary
+// and the exhaustive enumeration check, on native atomic registers.
 type Agreement = agreement.Native
 
 // NewAgreement returns an n-slot approximate agreement object with

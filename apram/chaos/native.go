@@ -127,39 +127,9 @@ func RunNative(cfg Config) (*NativeReport, error) {
 	}
 	n := cfg.N
 	specName := s.Name()
-
-	// Deterministic plan: scripts, crash cuts, stall points.
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	scripts := make([][]spec.Inv, n)
-	for p := 0; p < n; p++ {
-		scripts[p] = make([]spec.Inv, cfg.OpsPerProc)
-		for i := range scripts[p] {
-			op := genSpecOp(rng, specName)
-			arg, _, err := histio.NormalizeOp(specName, op.Name, op.Arg, nil)
-			if err != nil {
-				return nil, fmt.Errorf("chaos: process %d op %d: %w", p, i, err)
-			}
-			scripts[p][i] = spec.Inv{Op: op.Name, Arg: arg}
-		}
-	}
-	cut := make([]int, n)
-	for p := range cut {
-		cut[p] = len(scripts[p])
-	}
-	for i := 0; i < cfg.Crashes; i++ {
-		p := rng.Intn(n)
-		if c := rng.Intn(len(scripts[p]) + 1); c < cut[p] {
-			cut[p] = c
-		}
-	}
-	// stallBefore[p][i]: how many stall slices to sleep before op i.
-	stallBefore := make([]map[int]int, n)
-	for p := range stallBefore {
-		stallBefore[p] = map[int]int{}
-	}
-	for i := 0; i < cfg.Stalls; i++ {
-		p := rng.Intn(n)
-		stallBefore[p][rng.Intn(len(scripts[p])+1)] += 1 + rng.Intn(4)
+	pl, err := newNativePlan(cfg, specName, func(rng *rand.Rand) histio.TraceOp { return genSpecOp(rng, specName) })
+	if err != nil {
+		return nil, err
 	}
 
 	u := core.New(s, n)
@@ -172,82 +142,41 @@ func RunNative(cfg Config) (*NativeReport, error) {
 		}
 	}
 
-	rep := &NativeReport{Structure: cfg.Structure, Seed: cfg.Seed, N: n}
-	for p := 0; p < n; p++ {
-		if cut[p] < len(scripts[p]) {
-			rep.Crashed = append(rep.Crashed, p)
-		}
-	}
-
-	var clock atomic.Int64
-	var stallsRan atomic.Int64
-	type opRec struct {
-		proc, idx  int
-		inv        spec.Inv
-		resp       any
-		start, end int64
-		accesses   uint64
-		bound      uint64
-	}
-	recs := make([][]opRec, n)
-	panics := make([]any, n)
-	var wg sync.WaitGroup
-	for p := 0; p < n; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panics[p] = r
-				}
-			}()
-			prng := rand.New(rand.NewSource(cfg.Seed ^ int64(p)<<20))
-			for i := 0; i < cut[p]; i++ {
-				if k := stallBefore[p][i]; k > 0 {
-					stallsRan.Add(int64(k))
-					for j := 0; j < k; j++ {
-						time.Sleep(nativeStallSlice)
-					}
-				}
-				// Preemption pressure: frequently yield the processor so
-				// operations genuinely interleave even on short scripts.
-				if prng.Intn(2) == 0 {
-					runtime.Gosched()
-				}
-				inv := scripts[p][i]
-				before := probe.AccessesBy(p)
-				start := clock.Add(1)
-				resp := u.Execute(p, inv)
-				end := clock.Add(1)
-				bound := obs.ExecuteBound(n)
-				if spec.IsPure(s, inv) {
-					bound = obs.PureExecuteBound(n)
-				}
-				recs[p] = append(recs[p], opRec{
-					proc: p, idx: i, inv: inv, resp: resp,
-					start: start, end: end,
-					accesses: probe.AccessesBy(p) - before, bound: bound,
-				})
+	rep := pl.report(cfg)
+	var clock, stalls atomic.Int64
+	recs := make([][]nativeOp, n)
+	runProcs(rep, n, func(p int) error {
+		prng := rand.New(rand.NewSource(cfg.Seed ^ int64(p)<<20))
+		for i := 0; i < pl.cut[p]; i++ {
+			stall(pl.stallBefore[p][i], &stalls)
+			// Preemption pressure: frequently yield the processor so
+			// operations genuinely interleave even on short scripts.
+			if prng.Intn(2) == 0 {
+				runtime.Gosched()
 			}
-			// A finished (but not crashed) process lends its idle slot to
-			// pending epochs, like a serve worker's idle ticker.
-			if doTrunc && cut[p] == len(scripts[p]) {
-				for j := 0; j < 2*n; j++ {
-					u.TruncTick(p)
-					runtime.Gosched()
-				}
+			inv := pl.scripts[p][i]
+			before := probe.AccessesBy(p)
+			start := clock.Add(1)
+			resp := u.Execute(p, inv)
+			end := clock.Add(1)
+			bound := obs.ExecuteBound(n)
+			if spec.IsPure(s, inv) {
+				bound = obs.PureExecuteBound(n)
 			}
-		}(p)
-	}
-	wg.Wait()
-	rep.Stalls = int(stallsRan.Load())
-
-	for p, r := range panics {
-		if r != nil {
-			rep.Failures = append(rep.Failures, Failure{Oracle: OraclePanic,
-				Msg: fmt.Sprintf("process %d: %v", p, r)})
+			recs[p] = append(recs[p], nativeOp{inv: inv, resp: resp, start: start, end: end,
+				accesses: probe.AccessesBy(p) - before, bound: bound})
 		}
-	}
+		// A finished (but not crashed) process lends its idle slot to
+		// pending epochs, like a serve worker's idle ticker.
+		if doTrunc && pl.finishes(p) {
+			for j := 0; j < 2*n; j++ {
+				u.TruncTick(p)
+				runtime.Gosched()
+			}
+		}
+		return nil
+	})
+	rep.Stalls = int(stalls.Load())
 
 	// Post-run: drive any still-pending epoch home from the surviving
 	// slots (crashed processes stay silent forever — an epoch waiting on
@@ -264,7 +193,7 @@ func RunNative(cfg Config) (*NativeReport, error) {
 			}()
 			for round := 0; round < 4*n; round++ {
 				for p := 0; p < n; p++ {
-					if cut[p] == len(scripts[p]) {
+					if pl.finishes(p) {
 						u.TruncTick(p)
 					}
 				}
@@ -277,36 +206,155 @@ func RunNative(cfg Config) (*NativeReport, error) {
 	rep.Trunc = u.TruncStats()
 	rep.Retained = u.Retained()
 
-	// Assemble the interval history and check the wait-freedom bounds.
-	id := 0
+	rep.addHistory(recs)
+	rep.checkLin(s)
+	return rep, nil
+}
+
+// nativePlan is a native run's fault plan, a pure function of the
+// configuration: each process's script, how many of its operations it
+// runs before its crash (all of them when it does not crash), and how
+// many stall slices it sleeps before each operation.
+type nativePlan struct {
+	scripts     [][]spec.Inv
+	cut         []int
+	stallBefore []map[int]int
+}
+
+// newNativePlan draws the plan from cfg.Seed: the scripts, generated
+// by gen over specName's alphabet, then the crash cuts, then the stall
+// points.
+func newNativePlan(cfg Config, specName string, gen func(*rand.Rand) histio.TraceOp) (*nativePlan, error) {
+	n := cfg.N
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	pl := &nativePlan{scripts: make([][]spec.Inv, n), cut: make([]int, n), stallBefore: make([]map[int]int, n)}
+	for p := range pl.scripts {
+		pl.scripts[p] = make([]spec.Inv, cfg.OpsPerProc)
+		for i := range pl.scripts[p] {
+			op := gen(rng)
+			arg, _, err := histio.NormalizeOp(specName, op.Name, op.Arg, nil)
+			if err != nil {
+				return nil, fmt.Errorf("chaos: process %d op %d: %w", p, i, err)
+			}
+			pl.scripts[p][i] = spec.Inv{Op: op.Name, Arg: arg}
+		}
+		pl.cut[p] = len(pl.scripts[p])
+		pl.stallBefore[p] = map[int]int{}
+	}
+	for i := 0; i < cfg.Crashes; i++ {
+		p := rng.Intn(n)
+		if c := rng.Intn(len(pl.scripts[p]) + 1); c < pl.cut[p] {
+			pl.cut[p] = c
+		}
+	}
+	for i := 0; i < cfg.Stalls; i++ {
+		p := rng.Intn(n)
+		pl.stallBefore[p][rng.Intn(len(pl.scripts[p])+1)] += 1 + rng.Intn(4)
+	}
+	return pl, nil
+}
+
+// finishes reports whether process p runs its whole script.
+func (pl *nativePlan) finishes(p int) bool { return pl.cut[p] == len(pl.scripts[p]) }
+
+// report starts the run's report, listing the processes the plan
+// crashes.
+func (pl *nativePlan) report(cfg Config) *NativeReport {
+	rep := &NativeReport{Structure: cfg.Structure, Seed: cfg.Seed, N: cfg.N}
+	for p := range pl.cut {
+		if !pl.finishes(p) {
+			rep.Crashed = append(rep.Crashed, p)
+		}
+	}
+	return rep
+}
+
+// stall sleeps k stall slices, counting them in ran.
+func stall(k int, ran *atomic.Int64) {
+	ran.Add(int64(k))
+	for j := 0; j < k; j++ {
+		time.Sleep(nativeStallSlice)
+	}
+}
+
+// runProcs runs body for each of n processes on its own goroutine and
+// waits for all of them. It reports each process's panic, then each
+// error a process returned, as a failure.
+func runProcs(rep *NativeReport, n int, body func(p int) error) {
+	panics := make([]any, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
 	for p := 0; p < n; p++ {
-		for _, r := range recs[p] {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panics[p] = r
+				}
+			}()
+			errs[p] = body(p)
+		}(p)
+	}
+	wg.Wait()
+	for p, r := range panics {
+		if r != nil {
+			rep.Failures = append(rep.Failures, Failure{Oracle: OraclePanic,
+				Msg: fmt.Sprintf("process %d: %v", p, r)})
+		}
+	}
+	for _, err := range errs {
+		if err != nil {
+			rep.Failures = append(rep.Failures, Failure{Oracle: OracleEngine,
+				Msg: classifyDoErr(err) + ": " + err.Error()})
+		}
+	}
+}
+
+// nativeOp is one completed operation of a native run, its interval
+// stamped by the run's shared clock. A nonzero bound is the
+// wait-freedom bound on its register accesses.
+type nativeOp struct {
+	inv             spec.Inv
+	resp            any
+	start, end      int64
+	accesses, bound uint64
+}
+
+// addHistory appends every process's completed operations to the
+// report's interval history, process by process, and reports each
+// operation over its wait-freedom bound.
+func (rep *NativeReport) addHistory(recs [][]nativeOp) {
+	for p := range recs {
+		for i, r := range recs[p] {
 			rep.History.Ops = append(rep.History.Ops, history.Op{
-				ID: id, Proc: r.proc, Name: r.inv.Op, Arg: r.inv.Arg,
+				ID: len(rep.History.Ops), Proc: p, Name: r.inv.Op, Arg: r.inv.Arg,
 				Resp: r.resp, Start: r.start, End: r.end,
 			})
-			id++
 			if r.bound > 0 && r.accesses > r.bound {
 				rep.Failures = append(rep.Failures, Failure{Oracle: OracleWaitFree,
 					Msg: fmt.Sprintf("process %d op %d took %d accesses, wait-freedom bound is %d",
-						r.proc, r.idx, r.accesses, r.bound)})
+						p, i, r.accesses, r.bound)})
 			}
 		}
 	}
+}
 
-	// Linearizability over the real-time interval order.
+// checkLin checks the history for a linearization legal under s over
+// its real-time interval order, or marks the check skipped when the
+// history exceeds the checker's bound.
+func (rep *NativeReport) checkLin(s spec.Spec) {
 	if len(rep.History.Ops) > lincheck.MaxOps {
 		rep.LinSkipped = true
-	} else {
-		res, err := lincheck.CheckPartial(s, rep.History, nil)
-		if err != nil {
-			rep.Failures = append(rep.Failures, Failure{Oracle: OracleEngine,
-				Msg: fmt.Sprintf("history rejected by checker: %v", err)})
-		} else if !res.Ok {
-			rep.Failures = append(rep.Failures, Failure{Oracle: OracleLin,
-				Msg: fmt.Sprintf("no legal linearization of %d completed operations (%d states searched)",
-					len(rep.History.Ops), res.Explored)})
-		}
+		return
 	}
-	return rep, nil
+	res, err := lincheck.CheckPartial(s, rep.History, nil)
+	if err != nil {
+		rep.Failures = append(rep.Failures, Failure{Oracle: OracleEngine,
+			Msg: fmt.Sprintf("history rejected by checker: %v", err)})
+	} else if !res.Ok {
+		rep.Failures = append(rep.Failures, Failure{Oracle: OracleLin,
+			Msg: fmt.Sprintf("no legal linearization of %d completed operations (%d states searched)",
+				len(rep.History.Ops), res.Explored)})
+	}
 }

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -17,7 +16,6 @@ import (
 	"repro/apram/shard"
 	"repro/internal/core"
 	"repro/internal/histio"
-	"repro/internal/history"
 	"repro/internal/lattice"
 	"repro/internal/lincheck"
 	"repro/internal/pram"
@@ -464,121 +462,67 @@ func runNativeShardDirected(cfg Config, planted bool) (*NativeReport, error) {
 		rep.Crashed = append(rep.Crashed, 0)
 	}
 
-	var clock atomic.Int64
-	var stallsRan atomic.Int64
-	type opRec struct {
-		inv        spec.Inv
-		resp       any
-		start, end int64
-	}
-	recs := make([][]opRec, n)
+	var clock, stalls atomic.Int64
+	recs := make([][]nativeOp, n)
 	torn := make([]string, n)
-	panics := make([]any, n)
-	errs := make([]error, n)
 	ctx := context.Background()
 	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // writer
-		defer wg.Done()
-		defer close(done)
-		defer func() {
-			if r := recover(); r != nil {
-				panics[0] = r
-			}
-		}()
-		for r := 0; r < cutRounds; r++ {
-			if k := stallAt[r]; k > 0 {
-				stallsRan.Add(int64(k))
-				for j := 0; j < k; j++ {
-					time.Sleep(nativeStallSlice)
-				}
-			}
-			for _, inv := range invs {
-				start := clock.Add(1)
-				resp, err := sv.Do(ctx, inv)
-				if err != nil {
-					errs[0] = fmt.Errorf("writer round %d: %w", r, err)
-					return
-				}
-				end := clock.Add(1)
-				recs[0] = append(recs[0], opRec{inv: inv, resp: resp, start: start, end: end})
-			}
-		}
-	}()
-	for p := 1; p < n; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panics[p] = r
-				}
-			}()
-			deadline := time.Now().Add(shardReaderDeadline)
-			for iter := 0; ; iter++ {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				if iter%64 == 63 {
-					// Break wakeup-handoff chains so the writer gets scheduled.
-					runtime.Gosched()
-					if time.Now().After(deadline) {
-						return
+	runProcs(rep, n, func(p int) error {
+		if p == 0 { // writer
+			defer close(done)
+			for r := 0; r < cutRounds; r++ {
+				stall(stallAt[r], &stalls)
+				for _, inv := range invs {
+					start := clock.Add(1)
+					resp, err := sv.Do(ctx, inv)
+					if err != nil {
+						return fmt.Errorf("writer round %d: %w", r, err)
 					}
-				}
-				start := clock.Add(1)
-				resp, err := sv.Do(ctx, sumInv)
-				if err != nil {
-					errs[p] = fmt.Errorf("reader %d: %w", p, err)
-					return
-				}
-				end := clock.Add(1)
-				sum := resp.(int64)
-				if sum%3 == 1 && torn[p] == "" {
-					torn[p] = fmt.Sprintf(
-						"reader %d: vsum %d has no linearization: the writer's (+2,+1) alternation only reaches sums of 3b or 3b+2 — shard 1 composed a round shard 0's sub-read missed",
-						p, sum)
-				}
-				if len(recs[p]) < shardReaderHistoryCap || sum%3 == 1 {
-					recs[p] = append(recs[p], opRec{inv: sumInv, resp: resp, start: start, end: end})
+					end := clock.Add(1)
+					recs[0] = append(recs[0], nativeOp{inv: inv, resp: resp, start: start, end: end})
 				}
 			}
-		}(p)
-	}
-	wg.Wait()
-	rep.Stalls = int(stallsRan.Load())
-
-	for p, r := range panics {
-		if r != nil {
-			rep.Failures = append(rep.Failures, Failure{Oracle: OraclePanic,
-				Msg: fmt.Sprintf("process %d: %v", p, r)})
+			return nil
 		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			rep.Failures = append(rep.Failures, Failure{Oracle: OracleEngine,
-				Msg: classifyDoErr(err) + ": " + err.Error()})
+		deadline := time.Now().Add(shardReaderDeadline)
+		for iter := 0; ; iter++ {
+			select {
+			case <-done:
+				return nil
+			default:
+			}
+			if iter%64 == 63 {
+				// Break wakeup-handoff chains so the writer gets scheduled.
+				runtime.Gosched()
+				if time.Now().After(deadline) {
+					return nil
+				}
+			}
+			start := clock.Add(1)
+			resp, err := sv.Do(ctx, sumInv)
+			if err != nil {
+				return fmt.Errorf("reader %d: %w", p, err)
+			}
+			end := clock.Add(1)
+			sum := resp.(int64)
+			if sum%3 == 1 && torn[p] == "" {
+				torn[p] = fmt.Sprintf(
+					"reader %d: vsum %d has no linearization: the writer's (+2,+1) alternation only reaches sums of 3b or 3b+2 — shard 1 composed a round shard 0's sub-read missed",
+					p, sum)
+			}
+			if len(recs[p]) < shardReaderHistoryCap || sum%3 == 1 {
+				recs[p] = append(recs[p], nativeOp{inv: sumInv, resp: resp, start: start, end: end})
+			}
 		}
-	}
+	})
+	rep.Stalls = int(stalls.Load())
 	for _, msg := range torn {
 		if msg != "" {
 			rep.Failures = append(rep.Failures, Failure{Oracle: OracleLin, Msg: msg})
 		}
 	}
 
-	id := 0
-	for p := 0; p < n; p++ {
-		for _, r := range recs[p] {
-			rep.History.Ops = append(rep.History.Ops, history.Op{
-				ID: id, Proc: p, Name: r.inv.Op, Arg: r.inv.Arg,
-				Resp: r.resp, Start: r.start, End: r.end,
-			})
-			id++
-		}
-	}
+	rep.addHistory(recs)
 	// The free-running history is far past the generic checker's search
 	// bound; the prefix-sum oracle above is the linearizability check.
 	rep.LinSkipped = len(rep.History.Ops) > lincheck.MaxOps
@@ -607,36 +551,9 @@ func runNativeShard(cfg Config, s types.Sampler, planted bool) (*NativeReport, e
 		return runNativeShardDirected(cfg, planted)
 	}
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	scripts := make([][]spec.Inv, n)
-	for p := 0; p < n; p++ {
-		scripts[p] = make([]spec.Inv, cfg.OpsPerProc)
-		for i := range scripts[p] {
-			op := genShardOp(rng, specName, true)
-			arg, _, err := histio.NormalizeOp(specName, op.Name, op.Arg, nil)
-			if err != nil {
-				return nil, fmt.Errorf("chaos: process %d op %d: %w", p, i, err)
-			}
-			scripts[p][i] = spec.Inv{Op: op.Name, Arg: arg}
-		}
-	}
-	cut := make([]int, n)
-	for p := range cut {
-		cut[p] = len(scripts[p])
-	}
-	for i := 0; i < cfg.Crashes; i++ {
-		p := rng.Intn(n)
-		if c := rng.Intn(len(scripts[p]) + 1); c < cut[p] {
-			cut[p] = c
-		}
-	}
-	stallBefore := make([]map[int]int, n)
-	for p := range stallBefore {
-		stallBefore[p] = map[int]int{}
-	}
-	for i := 0; i < cfg.Stalls; i++ {
-		p := rng.Intn(n)
-		stallBefore[p][rng.Intn(len(scripts[p])+1)] += 1 + rng.Intn(4)
+	pl, err := newNativePlan(cfg, specName, func(rng *rand.Rand) histio.TraceOp { return genShardOp(rng, specName, true) })
+	if err != nil {
+		return nil, err
 	}
 
 	sv := shard.New(s, n, apram.WithShards(shardS))
@@ -648,92 +565,31 @@ func runNativeShard(cfg Config, s types.Sampler, planted bool) (*NativeReport, e
 		sv.SetUnsafeSnapshots()
 	}
 
-	rep := &NativeReport{Structure: cfg.Structure, Seed: cfg.Seed, N: n}
-	for p := 0; p < n; p++ {
-		if cut[p] < len(scripts[p]) {
-			rep.Crashed = append(rep.Crashed, p)
-		}
-	}
-
-	var clock atomic.Int64
-	var stallsRan atomic.Int64
-	type opRec struct {
-		inv        spec.Inv
-		resp       any
-		start, end int64
-	}
-	recs := make([][]opRec, n)
-	panics := make([]any, n)
-	errs := make([]error, n)
+	rep := pl.report(cfg)
+	var clock, stalls atomic.Int64
+	recs := make([][]nativeOp, n)
 	ctx := context.Background()
-	var wg sync.WaitGroup
-	for p := 0; p < n; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panics[p] = r
-				}
-			}()
-			for i := 0; i < cut[p]; i++ {
-				if k := stallBefore[p][i]; k > 0 {
-					stallsRan.Add(int64(k))
-					for j := 0; j < k; j++ {
-						time.Sleep(nativeStallSlice)
-					}
-				}
-				inv := scripts[p][i]
-				start := clock.Add(1)
-				resp, err := sv.Do(ctx, inv)
-				if err != nil {
-					errs[p] = fmt.Errorf("process %d op %d: %w", p, i, err)
-					return
-				}
-				end := clock.Add(1)
-				recs[p] = append(recs[p], opRec{inv: inv, resp: resp, start: start, end: end})
+	runProcs(rep, n, func(p int) error {
+		for i := 0; i < pl.cut[p]; i++ {
+			stall(pl.stallBefore[p][i], &stalls)
+			inv := pl.scripts[p][i]
+			start := clock.Add(1)
+			resp, err := sv.Do(ctx, inv)
+			if err != nil {
+				return fmt.Errorf("process %d op %d: %w", p, i, err)
 			}
-		}(p)
-	}
-	wg.Wait()
-	rep.Stalls = int(stallsRan.Load())
+			end := clock.Add(1)
+			recs[p] = append(recs[p], nativeOp{inv: inv, resp: resp, start: start, end: end})
+		}
+		return nil
+	})
+	rep.Stalls = int(stalls.Load())
 
-	for p, r := range panics {
-		if r != nil {
-			rep.Failures = append(rep.Failures, Failure{Oracle: OraclePanic,
-				Msg: fmt.Sprintf("process %d: %v", p, r)})
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			rep.Failures = append(rep.Failures, Failure{Oracle: OracleEngine,
-				Msg: classifyDoErr(err) + ": " + err.Error()})
-		}
-	}
-
-	id := 0
-	for p := 0; p < n; p++ {
-		for _, r := range recs[p] {
-			rep.History.Ops = append(rep.History.Ops, history.Op{
-				ID: id, Proc: p, Name: r.inv.Op, Arg: r.inv.Arg,
-				Resp: r.resp, Start: r.start, End: r.end,
-			})
-			id++
-		}
-	}
-
-	if len(rep.History.Ops) > lincheck.MaxOps {
-		rep.LinSkipped = true
-	} else if len(rep.Failures) == 0 {
-		res, err := lincheck.CheckPartial(s, rep.History, nil)
-		if err != nil {
-			rep.Failures = append(rep.Failures, Failure{Oracle: OracleEngine,
-				Msg: fmt.Sprintf("history rejected by checker: %v", err)})
-		} else if !res.Ok {
-			rep.Failures = append(rep.Failures, Failure{Oracle: OracleLin,
-				Msg: fmt.Sprintf("no legal linearization of %d completed operations (%d states searched)",
-					len(rep.History.Ops), res.Explored)})
-		}
+	rep.addHistory(recs)
+	if len(rep.Failures) == 0 {
+		rep.checkLin(s)
+	} else {
+		rep.LinSkipped = len(rep.History.Ops) > lincheck.MaxOps
 	}
 	return rep, nil
 }

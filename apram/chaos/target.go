@@ -645,7 +645,7 @@ func consensusTarget() *target {
 					return nil, fmt.Errorf("chaos: consensus: process %d proposal %v not a bit", p, tr.Scripts[p][0].Arg)
 				}
 				props[p] = int(v)
-				sts[p] = consensus.NewStepper(c, p, int(v), tr.Seed*1000+int64(p))
+				sts[p] = consensus.NewStepper(c, p, int(v))
 				machines[p] = &consMachine{st: sts[p]}
 			}
 			mem := pram.NewMem(0, n)

@@ -84,14 +84,13 @@ func NewMem(size, nproc int) *Mem { return pram.NewMem(size, nproc) }
 // sync/atomic cells implementing the same Memory interface as the
 // simulated Mem, so one machine body runs on either. Registers are
 // configured (Init/SetOwner/SetReader) before the memory is shared;
-// afterwards real goroutines access them concurrently. Ownership
-// checks are on by default — a read or write violating the declared
-// single-writer/single-reader discipline panics with a diagnostic —
-// and can be disabled for peak-throughput measurement with SetChecks.
+// afterwards real goroutines access them concurrently. Ownership is
+// always checked: a read or write violating the declared
+// single-writer/single-reader discipline panics with a diagnostic.
 type NativeMem = native.Mem
 
 // NewNativeMem returns a native memory of size registers for nproc
-// process slots, ownership checks enabled.
+// process slots.
 func NewNativeMem(size, nproc int) *NativeMem { return native.NewMem(size, nproc) }
 
 // RunNative drives one goroutine per machine against a native memory

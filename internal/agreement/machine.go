@@ -1,12 +1,10 @@
 // Package agreement implements the wait-free approximate agreement
-// object of Aspnes & Herlihy, Section 4 (Figures 1 and 2), in both
-// execution modes:
-//
-//   - a step-granular state machine (Machine) for the asynchronous PRAM
-//     simulator, which is what the paper's step counts (Theorem 5) and
-//     the Lemma 6 adversary are measured against, and
-//   - a native goroutine implementation (Native) built on atomic
-//     registers, for real concurrent use and throughput benchmarks.
+// object of Aspnes & Herlihy, Section 4 (Figures 1 and 2), as one
+// step-granular state machine (Machine) run on both substrates: the
+// asynchronous PRAM simulator, which is what the paper's step counts
+// (Theorem 5) and the Lemma 6 adversary are measured against, and
+// pram/native atomic registers, where Native steps one machine per
+// process for real concurrent use and throughput benchmarks.
 //
 // The object's sequential specification (Figure 1): input(P, x) inserts
 // x into the input set X; output(P) returns a value y such that the set
@@ -43,8 +41,9 @@ func (l Layout) Reg(p int) int { return l.Base + p }
 // Install initializes the object's registers in m: all entries start
 // at round zero with no preference, and register p is owned by p.
 func (l Layout) Install(m pram.Memory) {
+	var bot pram.Value = Entry{} // boxed once for every register
 	for p := 0; p < l.N; p++ {
-		m.Init(l.Reg(p), Entry{})
+		m.Init(l.Reg(p), bot)
 		m.SetOwner(l.Reg(p), p)
 	}
 }
@@ -57,28 +56,31 @@ const (
 	phInputWrite              // input: write initial preference (line 3)
 	phScan                    // output: scanning the entries (line 10)
 	phWrite                   // output: advance the entry (line 16)
-	phDone
+	phDone                    // no operation running
 )
 
-// Machine executes input(P, x) followed by output(P) as a
-// step-granular state machine: one shared-memory access per Step. It
-// is a line-by-line transcription of Figure 2.
+// Machine executes one process's input(P, x) and output(P) operations
+// as a step-granular state machine: one shared-memory access per Step.
+// It is a line-by-line transcription of Figure 2. Input and Output
+// start an operation, and Done reports when it has returned.
 type Machine struct {
 	proc int
-	x    float64
+	x    float64 // the running input's value
 	eps  float64
 	lay  Layout
 
 	ph      phase
+	chained bool    // output() starts when the running input() returns
 	i       int     // scan cursor
 	view    []Entry // entries read by the current scan
 	advance bool    // the rescan flag of lines 18–19
 	mine    Entry   // local copy of own entry (single writer)
 	pending Entry   // entry to write next, when ph == phWrite
 
-	rounds int // completed advances (writes in line 16)
-	scans  int // completed scans
-	result float64
+	rounds  int // completed advances (writes in line 16)
+	scans   int // completed scans
+	outputs int // completed output() operations
+	result  float64
 
 	// probe, when set, receives an obs.EvRound per advance and an
 	// obs.EvRetry per line-19 rescan. Register counts and op edges are
@@ -87,37 +89,61 @@ type Machine struct {
 }
 
 // NewMachine returns a machine for process proc that will input x and
-// then run output() to completion with tolerance eps > 0.
+// then run output() to completion with tolerance eps > 0, as one
+// operation.
 func NewMachine(proc int, x, eps float64, lay Layout) *Machine {
+	mc := newMachine(proc, eps, lay)
+	mc.Input(x)
+	mc.chained = true
+	return &mc
+}
+
+// newMachine returns an idle machine for process proc.
+func newMachine(proc int, eps float64, lay Layout) Machine {
 	if eps <= 0 {
 		panic("agreement: eps must be positive")
 	}
 	if proc < 0 || proc >= lay.N {
 		panic(fmt.Sprintf("agreement: process %d out of range", proc))
 	}
-	return &Machine{
-		proc: proc, x: x, eps: eps, lay: lay,
-		ph:   phInputRead,
-		view: make([]Entry, lay.N),
-	}
+	return Machine{proc: proc, eps: eps, lay: lay, ph: phDone, view: make([]Entry, lay.N)}
 }
 
-// Done reports whether output() has returned.
+// Input starts input(P, x) (lines 1–5). Only a process's first input
+// has any effect. The machine must be Done.
+func (mc *Machine) Input(x float64) {
+	mc.x = x
+	mc.ph = phInputRead
+}
+
+// Output starts output(P) (lines 6–19), whose value Result returns.
+// The machine must be Done. Output panics if the process has not input
+// a value: the operation's precondition (Figure 1) is X ≠ ∅, and this
+// implementation requires the caller to have contributed.
+func (mc *Machine) Output() {
+	if !mc.mine.Valid {
+		panic("agreement: output invoked before input (X is empty)")
+	}
+	mc.startOutput()
+}
+
+func (mc *Machine) startOutput() {
+	mc.ph = phScan
+	mc.i = 0
+	mc.advance = false
+}
+
+// Done reports whether the machine has no operation running.
 func (mc *Machine) Done() bool { return mc.ph == phDone }
 
-// Completed returns 1 once input+output finished (pram.Progress): the
-// machine's whole script is the single agreement operation.
-func (mc *Machine) Completed() int {
-	if mc.ph == phDone {
-		return 1
-	}
-	return 0
-}
+// Completed returns the number of output() operations that returned
+// (pram.Progress), so a NewMachine's script is one operation.
+func (mc *Machine) Completed() int { return mc.outputs }
 
-// Result returns the value output() returned. It panics if the machine
-// is not done.
+// Result returns the value the last output() returned. It panics if
+// the machine is not done or no output() has returned.
 func (mc *Machine) Result() float64 {
-	if mc.ph != phDone {
+	if mc.ph != phDone || mc.outputs == 0 {
 		panic("agreement: Result before Done")
 	}
 	return mc.result
@@ -148,9 +174,7 @@ func (mc *Machine) Step(m pram.Memory) {
 		e := m.Read(mc.proc, mc.lay.Reg(mc.proc)).(Entry)
 		mc.mine = e
 		if e.Valid {
-			// input has no effect; go straight to output.
-			mc.ph = phScan
-			mc.i = 0
+			mc.endInput() // input has no effect
 			return
 		}
 		mc.ph = phInputWrite
@@ -159,8 +183,7 @@ func (mc *Machine) Step(m pram.Memory) {
 		// Line 3: r[P] := [prefer: x, round: 1]
 		mc.mine = Entry{Round: 1, Prefer: mc.x, Valid: true}
 		m.Write(mc.proc, mc.lay.Reg(mc.proc), mc.mine)
-		mc.ph = phScan
-		mc.i = 0
+		mc.endInput()
 
 	case phScan:
 		// Line 10: scan r, one register per step.
@@ -171,13 +194,11 @@ func (mc *Machine) Step(m pram.Memory) {
 		}
 		mc.scans++
 		mc.i = 0
-		if !mc.mine.Valid {
-			panic("agreement: output invoked before input (X is empty)")
-		}
 		done, next := decide(mc.view, mc.mine, mc.eps, mc.advance)
 		switch {
 		case done:
 			mc.result = mc.mine.Prefer
+			mc.outputs++
 			mc.ph = phDone
 		case next.Valid:
 			mc.pending = next
@@ -197,20 +218,27 @@ func (mc *Machine) Step(m pram.Memory) {
 		if mc.probe != nil {
 			mc.probe.Event(mc.proc, obs.EvRound)
 		}
-		mc.advance = false
-		mc.ph = phScan
-		mc.i = 0
+		mc.startOutput()
 
 	case phDone:
 		panic("agreement: Step after Done")
 	}
 }
 
-// decide is lines 11–19 of Figure 2, shared by Machine and Native: given
-// a completed scan view and the process's own entry mine, it reports
-// done when the process returns mine.Prefer (lines 13–14), else the
-// entry it advances to (line 16), else an invalid next, when it must
-// rescan once first (line 19); advance says it already has.
+// endInput returns from input(), going on to a chained output().
+func (mc *Machine) endInput() {
+	mc.ph = phDone
+	if mc.chained {
+		mc.chained = false
+		mc.startOutput()
+	}
+}
+
+// decide is lines 11–19 of Figure 2: given a completed scan view and
+// the process's own entry mine, it reports done when the process
+// returns mine.Prefer (lines 13–14), else the entry it advances to
+// (line 16), else an invalid next, when it must rescan once first
+// (line 19); advance says it already has.
 func decide(view []Entry, mine Entry, eps float64, advance bool) (done bool, next Entry) {
 	// Line 11: E := {r[Q].prefer : r[Q].round >= r[P].round - 1}
 	// Line 12: L := {r[Q].prefer : r[Q].round = max_Q r[Q].round}

@@ -234,17 +234,13 @@ func TestMachineDeterminism(t *testing.T) {
 }
 
 func TestOutputBeforeInputPanics(t *testing.T) {
-	n := 1
-	mem := pram.NewMem(n, n)
-	lay := Layout{Base: 0, N: n}
-	lay.Install(mem)
-	m := &Machine{proc: 0, eps: 1, lay: lay, ph: phScan, view: make([]Entry, n)}
+	m := newMachine(0, 1, Layout{N: 1})
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic on output before input")
 		}
 	}()
-	m.Step(mem) // completes a scan with no valid own entry
+	m.Output()
 }
 
 func TestStepBoundMonotone(t *testing.T) {

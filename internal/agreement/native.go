@@ -2,21 +2,25 @@ package agreement
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/apram/obs"
+	"repro/internal/pram/native"
 )
 
-// Native is the goroutine-ready implementation of the approximate
-// agreement object: the same algorithm as Figure 2, with the simulated
-// registers replaced by atomic pointers. Each process index owns its
-// register; distinct process indices may run concurrently from
-// different goroutines, and every operation is wait-free — it completes
-// in a bounded number of its own steps regardless of what other
-// goroutines do (including stopping for ever).
+// Native is the goroutine-ready approximate agreement object. Each
+// process slot steps its own Figure 2 Machine, the body the simulator,
+// the Lemma 6 adversary and the exhaustive enumeration check, on
+// pram/native atomic registers laid out by Layout. Each process index
+// owns its register and its machine, so a given index must be used by
+// at most one goroutine at a time; distinct indices may run
+// concurrently from different goroutines, and every operation is
+// wait-free — it completes in a bounded number of its own steps
+// regardless of what other goroutines do (including stopping for
+// ever).
 type Native struct {
-	eps  float64
-	regs []atomic.Pointer[Entry]
+	eps float64
+	mem *native.Mem
+	mcs []Machine
 
 	probe obs.Probe // nil when uninstrumented
 }
@@ -30,10 +34,11 @@ func NewNative(n int, eps float64) *Native {
 	if eps <= 0 {
 		panic("agreement: eps must be positive")
 	}
-	a := &Native{eps: eps, regs: make([]atomic.Pointer[Entry], n)}
-	zero := &Entry{}
-	for i := range a.regs {
-		a.regs[i].Store(zero)
+	lay := Layout{N: n}
+	a := &Native{eps: eps, mem: native.NewMem(n, n), mcs: make([]Machine, n)}
+	lay.Install(a.mem)
+	for p := range a.mcs {
+		a.mcs[p] = newMachine(p, eps, lay)
 	}
 	return a
 }
@@ -42,10 +47,15 @@ func NewNative(n int, eps float64) *Native {
 // obs.EvRound per preference-halving round, an obs.EvRetry per pass
 // that could neither return nor advance, and an obs.OpAgree per
 // completed Output. Attach before the object is shared.
-func (a *Native) Instrument(p obs.Probe) { a.probe = p }
+func (a *Native) Instrument(p obs.Probe) {
+	a.probe = p
+	for i := range a.mcs {
+		a.mcs[i].Instrument(p)
+	}
+}
 
 // N returns the number of process slots.
-func (a *Native) N() int { return len(a.regs) }
+func (a *Native) N() int { return len(a.mcs) }
 
 // Eps returns the agreement tolerance ε.
 func (a *Native) Eps() float64 { return a.eps }
@@ -53,18 +63,9 @@ func (a *Native) Eps() float64 { return a.eps }
 // Input records process p's input value x. Only the first Input by a
 // given process has any effect, matching lines 1–5 of Figure 2.
 func (a *Native) Input(p int, x float64) {
-	a.check(p)
-	if e := a.regs[p].Load(); e.Valid {
-		if a.probe != nil {
-			a.probe.RegReads(p, 1)
-		}
-		return
-	}
-	a.regs[p].Store(&Entry{Round: 1, Prefer: x, Valid: true})
-	if a.probe != nil {
-		a.probe.RegReads(p, 1)
-		a.probe.RegWrites(p, 1)
-	}
+	mc := a.machine(p)
+	mc.Input(x)
+	a.run(p, mc)
 }
 
 // Output runs the wait-free approximate agreement protocol for process
@@ -72,48 +73,16 @@ func (a *Native) Input(p int, x float64) {
 // the operation's precondition (Figure 1) is X ≠ ∅, and this
 // implementation requires the caller to have contributed.
 func (a *Native) Output(p int) float64 {
-	a.check(p)
+	mc := a.machine(p)
+	mc.Output()
 	if a.probe != nil {
 		a.probe.OpBegin(p, obs.OpAgree)
 	}
-	mine := *a.regs[p].Load()
-	if !mine.Valid {
-		panic("agreement: Output before Input")
+	a.run(p, mc)
+	if a.probe != nil {
+		a.probe.OpDone(p, obs.OpAgree)
 	}
-	// Register accesses measured at their callsites; reported when the
-	// operation returns.
-	reads, writes := 1, 0
-	advance := false
-	view := make([]Entry, len(a.regs))
-	for {
-		for i := range a.regs {
-			view[i] = *a.regs[i].Load()
-		}
-		reads += len(a.regs)
-		done, next := decide(view, mine, a.eps, advance)
-		switch {
-		case done:
-			if a.probe != nil {
-				a.probe.RegReads(p, reads)
-				a.probe.RegWrites(p, writes)
-				a.probe.OpDone(p, obs.OpAgree)
-			}
-			return mine.Prefer
-		case next.Valid:
-			mine = next
-			a.regs[p].Store(&Entry{Round: next.Round, Prefer: next.Prefer, Valid: true})
-			writes++
-			if a.probe != nil {
-				a.probe.Event(p, obs.EvRound)
-			}
-			advance = false
-		default:
-			if a.probe != nil {
-				a.probe.Event(p, obs.EvRetry)
-			}
-			advance = true
-		}
-	}
+	return mc.Result()
 }
 
 // Agree is the common one-shot pattern: record x, then decide.
@@ -122,8 +91,23 @@ func (a *Native) Agree(p int, x float64) float64 {
 	return a.Output(p)
 }
 
-func (a *Native) check(p int) {
-	if p < 0 || p >= len(a.regs) {
-		panic(fmt.Sprintf("agreement: process %d out of range [0,%d)", p, len(a.regs)))
+func (a *Native) machine(p int) *Machine {
+	if p < 0 || p >= len(a.mcs) {
+		panic(fmt.Sprintf("agreement: process %d out of range [0,%d)", p, len(a.mcs)))
+	}
+	return &a.mcs[p]
+}
+
+// run steps p's machine through its operation and reports the register
+// accesses it made, read off the memory's counters.
+func (a *Native) run(p int, mc *Machine) {
+	reads, writes := a.mem.CountsBy(p)
+	for !mc.Done() {
+		mc.Step(a.mem)
+	}
+	if a.probe != nil {
+		r, w := a.mem.CountsBy(p)
+		a.probe.RegReads(p, int(r-reads))
+		a.probe.RegWrites(p, int(w-writes))
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/apram/obs"
 	"repro/internal/pram"
 	"repro/internal/sched"
 )
@@ -109,6 +110,84 @@ func TestQuickCrashSubsetsStillAgree(t *testing.T) {
 		return hi <= 50 && lo >= 0 && (lo > hi || hi-lo < eps)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuickNativeMatchesMachine: for one random sequential script, in
+// which each process inputs once and then outputs one or more times,
+// the machines stepped on the simulator and Native, which steps the
+// same machines on atomic registers, must return the same values and
+// make the same register reads and writes per process, and every
+// output must stay within Theorem 5's bound (a process's input counts
+// toward its first output).
+func TestQuickNativeMatchesMachine(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(4)
+		eps := math.Pow(10, -float64(rng.Intn(4)))
+		inputs := make([]float64, n)
+		lo, hi := math.Inf(1), math.Inf(-1)
+		var script []int // process p's first turn is its Input
+		for p := range inputs {
+			inputs[p] = float64(rng.Intn(2000)) / 10
+			lo, hi = math.Min(lo, inputs[p]), math.Max(hi, inputs[p])
+			for k := 0; k < 2+rng.Intn(3); k++ {
+				script = append(script, p)
+			}
+		}
+		rng.Shuffle(len(script), func(i, j int) { script[i], script[j] = script[j], script[i] })
+
+		lay := Layout{N: n}
+		mem := pram.NewMem(n, n)
+		lay.Install(mem)
+		mcs := make([]Machine, n)
+		for p := range mcs {
+			mcs[p] = newMachine(p, eps, lay)
+		}
+		nat := NewNative(n, eps)
+		st := obs.NewStats(n)
+		nat.Instrument(st)
+		bound := uint64(StepBound(n, hi-lo, eps))
+		input := make([]bool, n)
+		spent := make([]uint64, n)
+		for _, p := range script {
+			mc, first := &mcs[p], !input[p]
+			input[p] = true
+			before := mem.Counters().AccessesBy(p)
+			if first {
+				mc.Input(inputs[p])
+			} else {
+				mc.Output()
+			}
+			for !mc.Done() {
+				mc.Step(mem)
+			}
+			spent[p] += mem.Counters().AccessesBy(p) - before
+			if first {
+				nat.Input(p, inputs[p])
+				continue
+			}
+			if y := nat.Output(p); y != mc.Result() {
+				t.Logf("seed %d: process %d output %v natively, %v simulated", seed, p, y, mc.Result())
+				return false
+			}
+			if spent[p] > bound {
+				t.Logf("seed %d: process %d output took %d accesses, bound %d", seed, p, spent[p], bound)
+				return false
+			}
+			spent[p] = 0
+		}
+		for p, sl := range st.Snapshot().PerSlot {
+			if r, w := mem.CountsBy(p); sl.Reads != r || sl.Writes != w {
+				t.Logf("seed %d: process %d made %d/%d reads/writes natively, %d/%d simulated",
+					seed, p, sl.Reads, sl.Writes, r, w)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

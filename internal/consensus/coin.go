@@ -11,7 +11,7 @@ import (
 // [6]): a random walk on a wait-free shared counter. Each process
 // repeatedly increments or decrements by one according to a local coin
 // flip and reads the counter; it outputs 1 when the walk has drifted
-// past +barrier and 0 past −barrier.
+// past +barrier and 0 past −barrier, with barrier = 2n.
 //
 // The coin is "weak": with constant probability every process sees the
 // same exit side, and in the remaining executions outputs may differ —
@@ -26,15 +26,12 @@ type SharedCoin struct {
 	probe obs.Probe
 }
 
-// NewSharedCoin returns an n-process shared coin. barrier ≤ 0 selects
-// the default 2n. The seed makes each slot's local flips reproducible.
-func NewSharedCoin(n int, barrier int64, seed int64) *SharedCoin {
-	if barrier <= 0 {
-		barrier = int64(2 * n)
-	}
+// NewSharedCoin returns an n-process shared coin. The seed makes each
+// slot's local flips reproducible.
+func NewSharedCoin(n int, seed int64) *SharedCoin {
 	c := &SharedCoin{
 		counter: types.NewDirectCounter(n),
-		barrier: barrier,
+		barrier: int64(2 * n),
 		rng:     make([]*rand.Rand, n),
 	}
 	for p := range c.rng {
@@ -53,57 +50,41 @@ func (c *SharedCoin) Instrument(p obs.Probe) {
 
 // Flip runs the random walk for process p and returns 0 or 1.
 func (c *SharedCoin) Flip(p int) int {
-	done := func(out int) int {
-		if c.probe != nil {
-			c.probe.Event(p, obs.EvCoinFlip)
-		}
-		return out
-	}
 	for {
-		if c.rng[p].Intn(2) == 0 {
-			c.counter.Inc(p, 1)
-		} else {
-			c.counter.Dec(p, 1)
-		}
-		v := c.counter.Read(p)
-		if c.probe != nil {
-			c.probe.Event(p, obs.EvCoinStep)
-		}
-		switch {
-		case v >= c.barrier:
-			return done(1)
-		case v <= -c.barrier:
-			return done(0)
+		c.move(p)
+		if out, done := c.look(p); done {
+			return out
 		}
 	}
 }
 
-// conciliator is one round's agreement-probability booster: it
-// preserves unanimity (if every caller brings v, every caller leaves
-// with v — required so an already-decided value survives) and
-// otherwise falls back to the shared coin.
-type conciliator struct {
-	ac   *AdoptCommit // reused purely as an atomic publish+scan of inputs
-	coin *SharedCoin
-}
-
-func newConciliator(n int, seed int64) *conciliator {
-	return &conciliator{ac: NewAdoptCommit(n), coin: NewSharedCoin(n, 0, seed)}
-}
-
-// instrument attaches a probe to both building blocks (nested mode).
-func (con *conciliator) instrument(p obs.Probe) {
-	con.ac.Instrument(p, false)
-	con.coin.Instrument(p)
-}
-
-// apply returns the process's next preference.
-func (con *conciliator) apply(p, v int) int {
-	// Publish v and look for disagreement, atomically.
-	u, unanimous := con.ac.phase1(p, v)
-	_ = u
-	if unanimous {
-		return v
+// move is the first of a walk iteration's two counter operations: an
+// increment or decrement by p's local coin flip.
+func (c *SharedCoin) move(p int) {
+	if c.rng[p].Intn(2) == 0 {
+		c.counter.Inc(p, 1)
+	} else {
+		c.counter.Dec(p, 1)
 	}
-	return con.coin.Flip(p)
+}
+
+// look is the second: it reads the counter and reports the coin's
+// value once the walk has drifted past a barrier.
+func (c *SharedCoin) look(p int) (out int, done bool) {
+	v := c.counter.Read(p)
+	if c.probe != nil {
+		c.probe.Event(p, obs.EvCoinStep)
+	}
+	switch {
+	case v >= c.barrier:
+		out = 1
+	case v <= -c.barrier:
+		out = 0
+	default:
+		return 0, false
+	}
+	if c.probe != nil {
+		c.probe.Event(p, obs.EvCoinFlip)
+	}
+	return out, true
 }

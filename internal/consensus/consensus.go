@@ -10,7 +10,9 @@ import (
 // number of rounds is a small constant (each conciliator succeeds with
 // constant probability), so 64 rounds puts the exhaustion probability
 // far below hardware failure; exceeding it panics rather than
-// violating wait-freedom bounds silently.
+// violating wait-freedom bounds silently. Round objects are built from
+// registers alone, so they cannot be allocated on demand without extra
+// synchronization.
 const MaxRounds = 64
 
 // Consensus is randomized wait-free binary consensus for n processes
@@ -19,41 +21,44 @@ const MaxRounds = 64
 // process's input (validity, deterministic), and every call terminates
 // with probability 1 in a constant expected number of rounds.
 type Consensus struct {
-	n      int
-	ac     []*AdoptCommit
-	con    []*conciliator
-	local  []int // cached decision per process slot (owned by the slot)
-	done   []bool
-	rounds []int // rounds used by each slot's Decide (owned by the slot)
+	n     int
+	round []round
+	local []int // cached decision per process slot (owned by the slot)
+	done  []bool
+	used  []int // rounds used by each slot's decision (owned by the slot)
 
 	probe obs.Probe
 }
 
+// round is one round's objects. The conciliator — con, an adopt-commit
+// object used only as an atomic publish+scan of the preferences, and
+// coin — hands every process one value with constant probability: it
+// preserves unanimity (if every caller brings v, every caller leaves
+// with v, so an already-decided value survives) and otherwise falls
+// back to the shared coin. The adopt-commit object ac then gives
+// deterministic safety.
+type round struct {
+	con  *AdoptCommit
+	coin *SharedCoin
+	ac   *AdoptCommit
+}
+
 // New returns an n-process consensus object seeded for reproducible
 // local randomness, preallocating MaxRounds rounds.
-func New(n int, seed int64) *Consensus { return NewWithRounds(n, seed, MaxRounds) }
-
-// NewWithRounds preallocates only the given number of rounds. Because
-// round objects are built from registers alone, they cannot be
-// allocated on demand without extra synchronization, so they are built
-// up front; callers that create many consensus objects can trade
-// memory for a (still astronomically small at, say, 24 rounds) risk of
-// round exhaustion.
-func NewWithRounds(n int, seed int64, rounds int) *Consensus {
-	if rounds <= 0 || rounds > MaxRounds {
-		rounds = MaxRounds
-	}
+func New(n int, seed int64) *Consensus {
 	c := &Consensus{
-		n:      n,
-		ac:     make([]*AdoptCommit, rounds),
-		con:    make([]*conciliator, rounds),
-		local:  make([]int, n),
-		done:   make([]bool, n),
-		rounds: make([]int, n),
+		n:     n,
+		round: make([]round, MaxRounds),
+		local: make([]int, n),
+		done:  make([]bool, n),
+		used:  make([]int, n),
 	}
-	for r := 0; r < rounds; r++ {
-		c.ac[r] = NewAdoptCommit(n)
-		c.con[r] = newConciliator(n, seed+int64(r)*104729)
+	for r := range c.round {
+		c.round[r] = round{
+			con:  NewAdoptCommit(n),
+			coin: NewSharedCoin(n, seed+int64(r)*104729),
+			ac:   NewAdoptCommit(n),
+		}
 	}
 	return c
 }
@@ -66,23 +71,24 @@ func NewWithRounds(n int, seed int64, rounds int) *Consensus {
 // one obs.OpDecide. Attach before the object is shared.
 func (c *Consensus) Instrument(p obs.Probe) {
 	c.probe = p
-	for r := range c.ac {
-		c.ac[r].Instrument(p, false)
-		c.con[r].instrument(p)
+	for _, rd := range c.round {
+		rd.con.Instrument(p, false)
+		rd.coin.Instrument(p)
+		rd.ac.Instrument(p, false)
 	}
 }
 
 // N returns the number of process slots.
 func (c *Consensus) N() int { return c.n }
 
-// RoundsUsed returns how many rounds slot p's Decide took (0 before it
+// RoundsUsed returns how many rounds slot p took to decide (0 before it
 // decided). Expected to be a small constant; the distribution is
 // measured by experiment E12.
-func (c *Consensus) RoundsUsed(p int) int { return c.rounds[p] }
+func (c *Consensus) RoundsUsed(p int) int { return c.used[p] }
 
 // Decide runs the protocol for process p with input v ∈ {0, 1} and
-// returns the decision. Calling Decide again on the same slot returns
-// the cached decision.
+// returns the decision, stepping p's Stepper to completion. Calling
+// Decide again on the same slot returns the cached decision.
 func (c *Consensus) Decide(p, v int) int {
 	if v != 0 && v != 1 {
 		panic(fmt.Sprintf("consensus: input %d must be 0 or 1", v))
@@ -93,25 +99,11 @@ func (c *Consensus) Decide(p, v int) int {
 	if c.probe != nil {
 		c.probe.OpBegin(p, obs.OpDecide)
 	}
-	for r := 0; r < len(c.ac); r++ {
-		// Conciliate first: with constant probability all processes
-		// leave with one value, and unanimity is preserved exactly.
-		v = c.con[r].apply(p, v)
-		// Then adopt-commit: deterministic safety.
-		outcome, u := c.ac[r].Apply(p, v)
-		v = u
-		if c.probe != nil {
-			c.probe.Event(p, obs.EvRound)
-		}
-		if outcome == Commit {
-			c.local[p] = v
-			c.done[p] = true
-			c.rounds[p] = r + 1
-			if c.probe != nil {
-				c.probe.OpDone(p, obs.OpDecide)
-			}
-			return v
-		}
+	s := NewStepper(c, p, v)
+	for !s.Step() {
 	}
-	panic("consensus: exceeded the preallocated rounds; see package doc")
+	if c.probe != nil {
+		c.probe.OpDone(p, obs.OpDecide)
+	}
+	return s.out
 }

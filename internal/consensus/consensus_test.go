@@ -154,7 +154,7 @@ func TestAdoptCommitRejectsNegative(t *testing.T) {
 
 func TestSharedCoinTerminatesAndIsBinary(t *testing.T) {
 	const n = 4
-	c := NewSharedCoin(n, 0, 99)
+	c := NewSharedCoin(n, 99)
 	var wg sync.WaitGroup
 	outs := make([]int, n)
 	for p := 0; p < n; p++ {
@@ -175,7 +175,7 @@ func TestSharedCoinTerminatesAndIsBinary(t *testing.T) {
 func TestSharedCoinSolo(t *testing.T) {
 	// A solo process must still terminate (wait-freedom): the walk
 	// drifts to a barrier on its own flips.
-	c := NewSharedCoin(3, 0, 5)
+	c := NewSharedCoin(3, 5)
 	if v := c.Flip(0); v != 0 && v != 1 {
 		t.Fatalf("solo flip = %d", v)
 	}

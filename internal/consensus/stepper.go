@@ -1,19 +1,20 @@
 package consensus
 
-import "math/rand"
+import "repro/apram/obs"
 
-// Stepper drives one process's Decide through the consensus protocol
-// one linearizable shared-memory operation at a time, under external
-// (possibly adversarial) control. Every building block the protocol
-// uses — the snapshot operations inside adopt-commit, the counter
-// operations inside the shared coin — is linearizable, so
-// interleaving at whole-operation granularity explores every
-// distinguishable behaviour; this is what lets deterministic schedule
-// harnesses (the stepper tests, the chaos fuzzer) cover chosen
-// schedules and crash points rather than sampled ones.
+// Stepper drives one process through the consensus protocol one
+// linearizable shared-memory operation at a time, under external
+// (possibly adversarial) control; Decide steps one to completion.
+// Every building block the protocol uses — the snapshot operations
+// inside adopt-commit, the counter operations inside the shared coin —
+// is linearizable, so interleaving at whole-operation granularity
+// explores every distinguishable behaviour; this is what lets
+// deterministic schedule harnesses (the stepper tests, the chaos
+// fuzzer) cover chosen schedules and crash points rather than sampled
+// ones.
 //
-// A Stepper's randomness (its coin-flip choices) comes from its own
-// seeded source, so a fixed (seed, schedule) pair replays
+// A Stepper's coin flips come from its round's SharedCoin source for
+// its slot, seeded by New, so a fixed (seed, schedule) pair replays
 // bit-for-bit.
 type Stepper struct {
 	c    *Consensus
@@ -23,21 +24,16 @@ type Stepper struct {
 	done bool
 	out  int
 
-	phase int // 0 conciliator publish+scan; 1 coin walk; 2 ac.phase1; 3 ac.phase2
-	// conciliator intermediates
-	conUnanimous bool
-	// coin walk intermediates
-	coinPendingRead bool
-	rng             *rand.Rand
+	phase int // 0 conciliator publish+scan; 1–2 coin walk; 3 ac.phase1; 4 ac.phase2
 	// adopt-commit intermediates
 	acU     int
 	acFirst bool
 }
 
 // NewStepper returns a stepper for process p proposing v ∈ {0, 1} on
-// c, with seed driving the process's local coin-flip randomness.
-func NewStepper(c *Consensus, p, v int, seed int64) *Stepper {
-	return &Stepper{c: c, p: p, v: v, rng: rand.New(rand.NewSource(seed))}
+// c.
+func NewStepper(c *Consensus, p, v int) *Stepper {
+	return &Stepper{c: c, p: p, v: v}
 }
 
 // Done reports whether the process has decided.
@@ -52,60 +48,50 @@ func (s *Stepper) Output() int {
 }
 
 // Step performs exactly one linearizable shared-memory operation of
-// the protocol and reports whether the process has decided.
+// the protocol and reports whether the process has decided. A decision
+// is recorded on the Consensus: a later Decide by the slot returns it,
+// and RoundsUsed reports its rounds.
 func (s *Stepper) Step() bool {
 	if s.done {
 		return true
 	}
-	con := s.c.con[s.r]
-	ac := s.c.ac[s.r]
+	rd := &s.c.round[s.r]
 	switch s.phase {
-	case 0: // conciliator: one atomic publish+scan
-		_, unanimous := con.ac.phase1(s.p, s.v)
-		s.conUnanimous = unanimous
-		if unanimous {
-			s.phase = 2
+	case 0: // conciliator: one atomic publish+scan; unanimity skips the coin
+		if _, unanimous := rd.con.phase1(s.p, s.v); unanimous {
+			s.phase = 3
 		} else {
 			s.phase = 1
-			s.coinPendingRead = false
 		}
-	case 1: // coin walk: alternate one counter update and one read
-		coin := con.coin
-		if !s.coinPendingRead {
-			if s.rng.Intn(2) == 0 {
-				coin.counter.Inc(s.p, 1)
-			} else {
-				coin.counter.Dec(s.p, 1)
-			}
-			s.coinPendingRead = true
-			return false
+	case 1: // coin walk: one counter update...
+		rd.coin.move(s.p)
+		s.phase = 2
+	case 2: // ...then one read, until the walk has crossed a barrier
+		if out, done := rd.coin.look(s.p); done {
+			s.v = out
+			s.phase = 3
+		} else {
+			s.phase = 1
 		}
-		s.coinPendingRead = false
-		v := coin.counter.Read(s.p)
-		switch {
-		case v >= coin.barrier:
-			s.v = 1
-			s.phase = 2
-		case v <= -coin.barrier:
-			s.v = 0
-			s.phase = 2
-		}
-	case 2: // adopt-commit phase 1: one snapshot op
-		s.acU, s.acFirst = ac.phase1(s.p, s.v)
-		s.phase = 3
-	case 3: // adopt-commit phase 2: one snapshot op
-		outcome, u := ac.phase2(s.p, s.v, s.acU, s.acFirst)
+	case 3: // adopt-commit phase 1: one snapshot op
+		s.acU, s.acFirst = rd.ac.phase1(s.p, s.v)
+		s.phase = 4
+	case 4: // adopt-commit phase 2: one snapshot op
+		outcome, u := rd.ac.phase2(s.p, s.v, s.acU, s.acFirst)
 		s.v = u
+		if s.c.probe != nil {
+			s.c.probe.Event(s.p, obs.EvRound)
+		}
 		if outcome == Commit {
-			s.done = true
-			s.out = u
+			s.done, s.out = true, u
+			s.c.local[s.p], s.c.done[s.p], s.c.used[s.p] = u, true, s.r+1
 			return true
 		}
 		s.r++
-		if s.r >= len(s.c.ac) {
-			panic("consensus: stepper exceeded the preallocated rounds; see package doc")
+		if s.r == len(s.c.round) {
+			panic("consensus: exceeded the preallocated rounds; see MaxRounds")
 		}
 		s.phase = 0
 	}
-	return s.done
+	return false
 }

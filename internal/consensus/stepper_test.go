@@ -3,6 +3,8 @@ package consensus
 import (
 	"math/rand"
 	"testing"
+
+	"repro/apram/obs"
 )
 
 // This file drives the full consensus protocol under DETERMINISTIC
@@ -23,7 +25,7 @@ func runSchedule(t *testing.T, n int, inputs []int, seed int64,
 	steppers := make([]*Stepper, n)
 	stepsTaken := make([]int, n)
 	for p := 0; p < n; p++ {
-		steppers[p] = NewStepper(c, p, inputs[p], seed*1000+int64(p))
+		steppers[p] = NewStepper(c, p, inputs[p])
 	}
 	budget := 1_000_000
 	for {
@@ -177,16 +179,37 @@ func TestStepperAdversarialAlternation(t *testing.T) {
 	}
 }
 
-// TestStepperMatchesDecide: the stepper decomposition must agree with
-// the monolithic Decide when run solo (same seed, same coin flips).
+// TestStepperMatchesDecide: Decide steps the Stepper, so processes
+// run one at a time in slot order, each by Decide on one object and
+// alone under a stepper on another of the same seed, must decide alike
+// in the same rounds, with the same coin steps and round events.
 func TestStepperMatchesDecide(t *testing.T) {
-	// Unanimous inputs decide in round 0 without touching the coin, so
-	// the comparison is exact.
-	c1 := New(2, 9)
-	got := c1.Decide(0, 1)
-	outs := runSchedule(t, 2, []int{1, 1}, 9,
-		func(live []int) int { return live[0] }, nil)
-	if outs[0] != got {
-		t.Fatalf("stepper %d vs Decide %d", outs[0], got)
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + int(seed%4)
+		inputs := make([]int, n)
+		for p := range inputs {
+			inputs[p] = rng.Intn(2)
+		}
+		dc, sc := New(n, seed), New(n, seed)
+		dst, sst := obs.NewStats(n), obs.NewStats(n)
+		dc.Instrument(dst)
+		sc.Instrument(sst)
+		for p, v := range inputs {
+			got := dc.Decide(p, v)
+			st := NewStepper(sc, p, v)
+			for !st.Step() {
+			}
+			if st.Output() != got || sc.RoundsUsed(p) != dc.RoundsUsed(p) {
+				t.Fatalf("seed %d inputs %v: process %d stepper decided %d in %d rounds, Decide %d in %d",
+					seed, inputs, p, st.Output(), sc.RoundsUsed(p), got, dc.RoundsUsed(p))
+			}
+			for _, e := range []obs.Event{obs.EvCoinStep, obs.EvRound} {
+				if a, b := sst.EventsBy(p, e), dst.EventsBy(p, e); a != b {
+					t.Fatalf("seed %d inputs %v: process %d stepper emitted %d %v events, Decide %d",
+						seed, inputs, p, a, e, b)
+				}
+			}
+		}
 	}
 }

@@ -18,9 +18,8 @@
 // The single-writer multi-reader discipline is enforced the same way
 // the simulator enforces it: owner/reader sets are configured before
 // the memory is shared, and a violating access panics. The checks are
-// debug-mode in spirit — a slice load and a compare per access — and
-// can be disabled with SetChecks(false) for benchmarking the bare
-// substrate.
+// always on: a compare per access, beside the register in the same
+// cache line.
 package native
 
 import (
@@ -59,7 +58,7 @@ const slabBoxes = 16
 
 // Mem is the native memory: pram.Memory over sync/atomic cells.
 //
-// Configuration (Init, SetOwner, SetReader, SetChecks) must
+// Configuration (Init, SetOwner, SetReader) must
 // happen-before the memory is shared between goroutines — exactly the
 // constraint the simulator's "before the simulation starts" documents.
 // After that, any number of goroutines may Read and Write concurrently
@@ -68,28 +67,26 @@ const slabBoxes = 16
 // already must be; Run and RunTimed arrange the canonical
 // one-goroutine-per-slot drive.
 type Mem struct {
-	cells  []cell
-	first  []box // first[r] holds register r's initial contents
-	nproc  int
-	procs  []proc
-	checks bool
+	cells []cell
+	first []box // first[r] holds register r's initial contents
+	nproc int
+	procs []proc
 }
 
 var _ pram.Memory = (*Mem)(nil)
 
 // NewMem returns a native memory of size registers shared by nproc
 // processes. All registers start holding nil and are writable by
-// everyone until SetOwner is called; ownership checks start enabled.
+// everyone until SetOwner is called.
 func NewMem(size, nproc int) *Mem {
 	if size < 0 || nproc <= 0 {
 		panic("native: invalid memory geometry")
 	}
 	m := &Mem{
-		cells:  make([]cell, size),
-		first:  make([]box, size),
-		nproc:  nproc,
-		procs:  make([]proc, nproc),
-		checks: true,
+		cells: make([]cell, size),
+		first: make([]box, size),
+		nproc: nproc,
+		procs: make([]proc, nproc),
 	}
 	for i := range m.cells {
 		m.cells[i].v.Store(&m.first[i])
@@ -104,10 +101,6 @@ func (m *Mem) Size() int { return len(m.cells) }
 
 // NProc returns the number of processes sharing the memory.
 func (m *Mem) NProc() int { return m.nproc }
-
-// SetChecks toggles the per-access ownership checks (on by default).
-// Pre-share configuration only.
-func (m *Mem) SetChecks(on bool) { m.checks = on }
 
 // Init sets register r's initial contents without counting an access.
 // Pre-share configuration only.
@@ -135,7 +128,7 @@ func (m *Mem) restrict(role string, p int) int32 {
 // it as one step.
 func (m *Mem) Read(p, r int) pram.Value {
 	c := &m.cells[r]
-	if m.checks && (uint(p) >= uint(m.nproc) || c.reader != pram.NoOwner && c.reader != int32(p)) {
+	if uint(p) >= uint(m.nproc) || c.reader != pram.NoOwner && c.reader != int32(p) {
 		m.violation("single-reader", "read", "reader", p, r, c.reader)
 	}
 	m.procs[p].reads.Add(1)
@@ -147,7 +140,7 @@ func (m *Mem) Read(p, r int) pram.Value {
 // that is a bug in the calling algorithm, not a runtime condition.
 func (m *Mem) Write(p, r int, v pram.Value) {
 	c := &m.cells[r]
-	if m.checks && (uint(p) >= uint(m.nproc) || c.owner != pram.NoOwner && c.owner != int32(p)) {
+	if uint(p) >= uint(m.nproc) || c.owner != pram.NoOwner && c.owner != int32(p) {
 		m.violation("single-writer", "wrote", "owner", p, r, c.owner)
 	}
 	pr := &m.procs[p]

@@ -66,9 +66,9 @@ func mustPanic(t *testing.T, want string, f func()) {
 	f()
 }
 
-// TestOwnershipViolationsPanic pins the debug-mode checks: a write by
+// TestOwnershipViolationsPanic pins the ownership checks: a write by
 // a non-owner and a read by a non-reader each panic with a diagnostic
-// naming the culprit, and SetChecks(false) disables enforcement.
+// naming the culprit.
 func TestOwnershipViolationsPanic(t *testing.T) {
 	m := native.NewMem(2, 3)
 	m.SetOwner(0, 1)
@@ -80,11 +80,6 @@ func TestOwnershipViolationsPanic(t *testing.T) {
 	_ = m.Read(2, 1)
 	// Out-of-range processes are caught even on unrestricted registers.
 	mustPanic(t, "out of range", func() { m.Write(5, 0, 1) })
-
-	un := native.NewMem(2, 3)
-	un.SetOwner(0, 1)
-	un.SetChecks(false)
-	un.Write(0, 0, 1) // no panic: checks disabled
 }
 
 // TestRunUniversalCounter drives the Figure 4 machine body — the same
